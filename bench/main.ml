@@ -898,15 +898,29 @@ let occurrence_alloc () =
 
 (* ------------------------------------------------------------------ *)
 (* Predicate-match (extension): the cache-flat predicate image, measured
-   single-run vs batched. One pass per plan over the same publications,
-   reporting probes and hits per document (scale-free — CI gates them),
+   single-run vs batched on two predicate sets — unconstrained NITF
+   paper_queries (the scanned slices) and PSD paper_queries with one
+   attribute filter per path (the anchored attribute groups). Each set
+   reports probes and hits per document (scale-free — CI gates them),
    minor-heap words per document for both plans (the batched plan must be
    allocation-free in steady state) and ns per document. run_batch must
    reproduce the per-run match sets exactly; a mismatch fails the run. *)
 
-let predicate_match () =
+type predicate_stage = {
+  ps_pubs : int;
+  ps_preds : int;
+  ps_probes : float;  (* per document *)
+  ps_hits : float;
+  ps_single_words : float;
+  ps_batched_words : float;
+  ps_single_ns : float;
+  ps_batched_ns : float;
+  ps_identical : bool;
+}
+
+let measure_predicate_stage ~dtd_name ~filters =
   let module PI = Pf_core.Predicate_index in
-  let dtd = dtd_of "nitf" in
+  let dtd = dtd_of dtd_name in
   let m = PI.make_metrics () in
   let idx = PI.create ~metrics:m () in
   List.iter
@@ -914,12 +928,12 @@ let predicate_match () =
       match Pf_core.Encoder.encode q with
       | enc -> Array.iter (fun p -> ignore (PI.intern idx p : int)) enc.Pf_core.Encoder.preds
       | exception _ -> ())
-    (queries dtd (if !full then 5_000 else 2_000));
+    (queries dtd ~filters (if !full then 5_000 else 2_000));
   let pubs =
     Array.of_list
       (List.concat_map
          (fun d -> List.map Pf_core.Publication.of_path (Pf_xml.Path.of_document d))
-         (documents "nitf" (if !full then 50 else 20)))
+         (documents dtd_name (if !full then 50 else 20)))
   in
   let npubs = Array.length pubs in
   let npids = PI.size idx in
@@ -986,24 +1000,51 @@ let predicate_match () =
   in
   let single_ns = ns_per_doc pass_single in
   let batched_ns = ns_per_doc pass_batched in
+  {
+    ps_pubs = npubs;
+    ps_preds = npids;
+    ps_probes = probes_per_doc;
+    ps_hits = hits_per_doc;
+    ps_single_words = single_words;
+    ps_batched_words = batched_words;
+    ps_single_ns = single_ns;
+    ps_batched_ns = batched_ns;
+    ps_identical = !identical;
+  }
+
+let predicate_stage_fields ps =
+  [
+    "publications", J.Int ps.ps_pubs;
+    "predicates", J.Int ps.ps_preds;
+    "probes_per_doc", J.Float ps.ps_probes;
+    "hits_per_doc", J.Float ps.ps_hits;
+    "minor_words_per_doc_single", J.Float ps.ps_single_words;
+    "minor_words_per_doc_batched", J.Float ps.ps_batched_words;
+    "ns_per_doc_single", J.Float ps.ps_single_ns;
+    "ns_per_doc_batched", J.Float ps.ps_batched_ns;
+    "identical_matches", J.Bool ps.ps_identical;
+  ]
+
+let predicate_match () =
+  let plain = measure_predicate_stage ~dtd_name:"nitf" ~filters:0 in
+  let constrained = measure_predicate_stage ~dtd_name:"psd" ~filters:1 in
   Printf.printf
-    "\n== predicate-match: %d predicates, %d publications (flat image) ==\n" npids npubs;
-  Printf.printf "%18s %14.1f\n" "probes/doc" probes_per_doc;
-  Printf.printf "%18s %14.1f\n" "hits/doc" hits_per_doc;
-  Printf.printf "%18s %14s %14s\n" "" "single" "batched";
-  Printf.printf "%18s %14.1f %14.1f\n" "minor words/doc" single_words batched_words;
-  Printf.printf "%18s %14.0f %14.0f\n" "ns/doc" single_ns batched_ns;
-  Printf.printf "%18s %14b\n" "identical" !identical;
-  record "publications" (J.Int npubs);
-  record "predicates" (J.Int npids);
-  record "probes_per_doc" (J.Float probes_per_doc);
-  record "hits_per_doc" (J.Float hits_per_doc);
-  record "minor_words_per_doc_single" (J.Float single_words);
-  record "minor_words_per_doc_batched" (J.Float batched_words);
-  record "ns_per_doc_single" (J.Float single_ns);
-  record "ns_per_doc_batched" (J.Float batched_ns);
-  record "identical_matches" (J.Bool !identical);
-  if not !identical then begin
+    "\n== predicate-match: flat image (unconstrained: %d predicates, %d publications; \
+     constrained: %d predicates, %d publications) ==\n"
+    plain.ps_preds plain.ps_pubs constrained.ps_preds constrained.ps_pubs;
+  Printf.printf "%26s %14s %14s\n" "" "unconstrained" "constrained";
+  let row label f = Printf.printf "%26s %14.1f %14.1f\n" label (f plain) (f constrained) in
+  row "probes/doc" (fun p -> p.ps_probes);
+  row "hits/doc" (fun p -> p.ps_hits);
+  row "minor words/doc single" (fun p -> p.ps_single_words);
+  row "minor words/doc batched" (fun p -> p.ps_batched_words);
+  row "ns/doc single" (fun p -> p.ps_single_ns);
+  row "ns/doc batched" (fun p -> p.ps_batched_ns);
+  Printf.printf "%26s %14b %14b\n" "identical" plain.ps_identical constrained.ps_identical;
+  (* the unconstrained set keeps the experiment's top-level keys *)
+  List.iter (fun (k, v) -> record k v) (predicate_stage_fields plain);
+  record "constrained" (J.Obj (predicate_stage_fields constrained));
+  if not (plain.ps_identical && constrained.ps_identical) then begin
     Printf.printf "predicate-match: BATCHED MATCH-SET MISMATCH against per-run results\n";
     exit 1
   end

@@ -93,11 +93,11 @@ let iter_chains (rs : (int * int) list array) accept =
 
 (* The candidate sets R_1..R_n of one run stored flat: row i (one per
    predicate) occupies data.(off.(i)) .. data.(off.(i) + len.(i) - 1),
-   each entry a packed pair ((o1 << 16) | o2). The arena is a per-engine
-   scratch reused across documents, so the steady state of the match loop
-   allocates nothing — no pair lists, no per-document arrays. Rows obey a
-   stack discipline: starting row i discards rows > i, which is exactly
-   the shape of the trie descent that fills them. *)
+   each entry a pair packed by [Predicate_index.pack]. The arena is a
+   per-engine scratch reused across documents, so the steady state of the
+   match loop allocates nothing — no pair lists, no per-document arrays.
+   Rows obey a stack discipline: starting row i discards rows > i, which
+   is exactly the shape of the trie descent that fills them. *)
 type arena = {
   mutable data : int array;
   mutable off : int array;
@@ -172,7 +172,7 @@ let load a (rs : (int * int) list array) =
   Array.iteri
     (fun i r ->
       start_row a i;
-      List.iter (fun (o1, o2) -> push a ((o1 lsl 16) lor o2)) r)
+      List.iter (fun (o1, o2) -> push a (Predicate_index.pack o1 o2)) r)
     rs
 
 (* The DFS is split into top-level mutually recursive functions (state
@@ -191,14 +191,15 @@ let rec search a depth i prev =
 and search_scan a depth i prev o l k =
   k < l
   && ((let p = Array.unsafe_get a.data (o + k) in
-       p lsr 16 = prev && search a depth (i + 1) (p land 0xffff))
+       Predicate_index.packed_first p = prev
+       && search a depth (i + 1) (Predicate_index.packed_second p))
      || search_scan a depth i prev o l (k + 1))
 
 let rec search_root a depth o l k =
   k < l
   && ((a.search_steps <- a.search_steps + 1;
        let p = Array.unsafe_get a.data (o + k) in
-       search a depth 1 (p land 0xffff))
+       search a depth 1 (Predicate_index.packed_second p))
      || search_root a depth o l (k + 1))
 
 let search_steps a = a.search_steps
@@ -225,9 +226,9 @@ let iter_chains_packed a accept =
         let rec scan k =
           k < l
           && ((let p = data.(o + k) in
-               p lsr 16 = prev
+               Predicate_index.packed_first p = prev
                && (chain.(i) <- p;
-                   go (i + 1) (p land 0xffff)))
+                   go (i + 1) (Predicate_index.packed_second p)))
              || scan (k + 1))
         in
         scan 0
@@ -237,7 +238,7 @@ let iter_chains_packed a accept =
       k < l
       && ((let p = data.(o + k) in
            chain.(0) <- p;
-           go 1 (p land 0xffff))
+           go 1 (Predicate_index.packed_second p))
          || scan (k + 1))
     in
     scan 0
@@ -274,7 +275,7 @@ let matches_faithful_packed a =
           if k >= l then -1
           else
             let p = data.(o + k) in
-            if i = 0 || p lsr 16 = c then begin
+            if i = 0 || Predicate_index.packed_first p = c then begin
               cursor.(i) <- k + 1;
               p
             end
@@ -285,7 +286,10 @@ let matches_faithful_packed a =
       (* is R'_i non-empty? (peek without consuming) *)
       let has_candidates i =
         let c = constr.(i) and o = off.(i) and l = len.(i) in
-        let rec scan k = k < l && (i = 0 || data.(o + k) lsr 16 = c || scan (k + 1)) in
+        let rec scan k =
+          k < l
+          && (i = 0 || Predicate_index.packed_first data.(o + k) = c || scan (k + 1))
+        in
         scan cursor.(i)
       in
       (* line 7: R'_1 <- R_1, select one pair and delete it *)
@@ -300,7 +304,7 @@ let matches_faithful_packed a =
           if !current = n - 1 then result := Some true (* lines 10-11 *)
           else begin
             (* line 13: current++, R'_current <- R_current(o2) *)
-            let o2 = chosen.(!current) land 0xffff in
+            let o2 = Predicate_index.packed_second chosen.(!current) in
             incr current;
             step := !current;
             constr.(!current) <- o2;

@@ -9,7 +9,7 @@
     Two representations are provided. The list-based functions take the
     candidate sets as [(int * int) list array] — convenient, and the form
     the paper writes. The packed {!arena} stores the same sets flat in a
-    reusable [int array] of packed pairs ([(o1 lsl 16) lor o2]), so the
+    reusable [int array] of pairs packed by {!Predicate_index.pack}, so the
     engines' match loops run allocation-free in the steady state; the test
     suite pins both representations (and the faithful Algorithm 1
     transcriptions) to agree on random inputs. *)

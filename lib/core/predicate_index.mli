@@ -10,10 +10,20 @@
     contiguous slice; a >= probe over values [1..stop] collapses to a
     single contiguous arena slice because a row's columns are
     value-ascending; relative predicates dispatch through dense
-    row/pair-id arrays instead of per-symbol hashtables; and a packed
-    per-pid constraint bitmap keeps the unconstrained common case away
-    from the constraint vectors. The inner match loop is sequential array
-    walks with no boxing, no hashing and no closures.
+    row/pair-id arrays instead of per-symbol hashtables.
+
+    Attribute-constrained predicates with an integer [=], [>=], [<=], [>]
+    or [<] constraint are {e anchored} on one of them ([=] preferred, then
+    the first tag variable) and leave the scanned slices: each column keeps
+    them in attribute groups keyed by (attribute, variable side,
+    comparison) and sorted by threshold. A run resolves each tuple's
+    attributes once to integers and binary-searches each group of a
+    column it would have scanned, visiting only the pids whose anchor
+    holds. Predicates constrained only by [!=] or string comparisons stay
+    on the slices behind a packed per-pid constraint bitmap, which also
+    keeps the unconstrained common case away from the constraint vectors.
+    The inner match loop is array walks and binary searches with no
+    boxing, no hashing and no closures.
 
     Matching results (the occurrence pairs of Section 4.2) are stored in a
     reusable {!results} cell arena; an epoch counter makes resets free and
@@ -23,14 +33,22 @@
 
 type pid = int
 
-type metrics = { probes : Pf_obs.Counter.t; hits : Pf_obs.Counter.t }
-(** Stage counters: [probes] counts candidate predicate inspections
-    (slot-list entries visited by {!run}), [hits] the occurrence pairs
-    recorded. *)
+type metrics = {
+  probes : Pf_obs.Counter.t;
+  hits : Pf_obs.Counter.t;
+  residual : Pf_obs.Gauge.t;
+}
+(** Stage metrics: [probes] counts candidate predicate inspections (pids
+    {!run} actually visits: scanned slice slots plus anchored pids whose
+    anchor holds), [hits] the occurrence pairs recorded; [hits <= probes].
+    [residual] is the number of constrained predicates left on the scanned
+    slices ([!=] or string constraints only), set at each rebuild of the
+    match image. *)
 
 val make_metrics : ?registry:Pf_obs.Registry.t -> unit -> metrics
-(** Counters named ["predicate_probes"] / ["predicate_hits"], registered
-    in [registry] when given. *)
+(** Counters named ["predicate_probes"] / ["predicate_hits"] and the gauge
+    ["predicate_residual_constrained"], registered in [registry] when
+    given. *)
 
 type t
 
@@ -65,7 +83,9 @@ val run : t -> results -> Publication.t -> unit
     [results] are discarded (O(1)). Predicates with attribute constraints
     only match tuples whose attributes satisfy them (inline evaluation).
     The first run after a subscription change rebuilds the flat match
-    image; steady-state runs allocate nothing. *)
+    image; steady-state runs allocate nothing unless an anchored
+    attribute's value is not a plain decimal (then the general
+    [int_of_string_opt (String.trim v)] reading applies). *)
 
 val run_batch : t -> results array -> Publication.t array -> unit
 (** [run_batch idx ress pubs] matches [pubs.(i)] into [ress.(i)] for every
@@ -84,8 +104,7 @@ val get : results -> pid -> (int * int) list
     tests and explanation output, not the match loop. *)
 
 val get_packed : results -> pid -> int list
-(** Like {!get} but with each pair packed as [(o1 lsl 16) lor o2] (see
-    {!packed_first}/{!packed_second}). Allocates the list. *)
+(** Like {!get} but with each pair packed by {!pack}. Allocates the list. *)
 
 val iter_pairs : results -> pid -> (int -> unit) -> unit
 (** [iter_pairs res pid f] calls [f] on each packed pair recorded for
@@ -103,9 +122,14 @@ val cells : results -> int array
 (** The backing cell arena for {!head} traversals. Only indices reached
     from a {!head} of the current epoch are meaningful. *)
 
+val pack : int -> int -> int
+(** [pack o1 o2] is the occurrence pair as one immediate int,
+    [(o1 lsl 31) lor o2]. Each occurrence must lie in [0 .. 2^31 - 1].
+    Every packed pair — predicate results, the occurrence arenas — uses
+    this encoding. *)
+
 val packed_first : int -> int
 val packed_second : int -> int
-val pack : int -> int -> int
 
 val is_matched : results -> pid -> bool
 

@@ -78,9 +78,9 @@ let of_steps ar (steps : Pf_xml.Path.step array) n =
   pub.pos_index <- None;
   pub
 
-(* Occurrence numbers are bounded by the path length, far below 2^16 (the
-   same bound the predicate index's pair packing relies on). *)
-let pos_key tag occurrence = (tag lsl 16) lor occurrence
+(* Occurrence numbers are bounded by the path length; 31 bits per field,
+   as in the predicate index's pair packing. *)
+let pos_key tag occurrence = (tag lsl 31) lor occurrence
 
 let pos_of_occurrence t ~tag ~occurrence =
   let index =

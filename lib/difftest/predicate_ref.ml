@@ -1,13 +1,17 @@
 (* The predicate index exactly as it was before the cache-flat rewrite:
    per-operator vectors of pid *lists* indexed by predicate value, with
-   relative predicates dispatched through per-symbol hashtables. Kept as a
-   test-only reference so the flat implementation in
-   {!Pf_core.Predicate_index} can be checked for byte-identical behaviour
-   (match sets, pair order, probe/hit totals) by the equivalence property
-   in the test suite. The only changes from the historical code are the
-   two micro-cleanups the rewrite subsumed: [run] reads
-   [pub.Publication.length] once, and the length-table bound is hoisted
-   out of its loop. *)
+   relative predicates dispatched through per-symbol hashtables, and every
+   constrained pid of a slot checked inline. Kept as a test-only reference
+   so the flat implementation in {!Pf_core.Predicate_index} can be checked
+   by the equivalence property in the test suite: same pids, same match
+   sets, same packed pairs in the same order, same matched counts and hit
+   totals. Probe totals are no longer equal: the flat index visits an
+   anchored (attribute-constrained) pid only when its anchor constraint
+   holds, so its probes are at most the reference's. The changes from the
+   historical code are the two micro-cleanups the rewrite subsumed ([run]
+   reads [pub.Publication.length] once, and the length-table bound is
+   hoisted out of its loop) and the pair encoding, shared with the flat
+   index. *)
 
 open Pf_core
 
@@ -152,10 +156,12 @@ let intern t p =
    identical to {!Pf_core.Predicate_index.results} so pair order and cell
    layout can be compared one to one. *)
 
-let pack o1 o2 = (o1 lsl 16) lor o2
+(* The pair encoding is the flat index's, so packed pairs compare one to
+   one. *)
+let pack = Predicate_index.pack
 
-let packed_first p = p lsr 16
-let packed_second p = p land 0xffff
+let packed_first = Predicate_index.packed_first
+let packed_second = Predicate_index.packed_second
 
 type results = {
   mutable epoch : int;

@@ -94,6 +94,38 @@ let test_reset_registry_agreement () =
   Alcotest.(check int) "accessor zero after reset" 0 (Engine.occurrence_runs e);
   Alcotest.(check int) "registry zero after reset" 0 (registry_runs ())
 
+(* The predicate_residual_constrained gauge counts constrained predicates
+   the anchored index cannot take off the scanned slices (!= or string
+   constraints only); it is set when the match image is rebuilt. The
+   paper's generated filters are integer =, >= and <=, so they all
+   anchor. *)
+let test_residual_constrained_gauge () =
+  let open Pf_workload in
+  let dtd = Dtd.psd_like () in
+  let e = Engine.create () in
+  let paths =
+    Xpath_gen.generate dtd
+      { Presets.paper_queries with Xpath_gen.count = 300; filters_per_path = 1 }
+  in
+  List.iter (fun p -> ignore (Engine.add e p)) paths;
+  let residual () =
+    match Pf_obs.Registry.find_gauge (Engine.metrics e) "predicate_residual_constrained" with
+    | Some v -> v
+    | None -> Alcotest.fail "predicate_residual_constrained gauge not registered"
+  in
+  let docs = Xml_gen.generate_many dtd Presets.psd_documents 2 in
+  List.iter (fun d -> ignore (Engine.match_document e d)) docs;
+  Alcotest.(check bool) "filters generated" true
+    (List.exists
+       (fun (p : Pf_xpath.Ast.path) ->
+         List.exists (fun (st : Pf_xpath.Ast.step) -> st.Pf_xpath.Ast.filters <> []) p.Pf_xpath.Ast.steps)
+       paths);
+  Alcotest.(check (float 0.)) "PSD paper_queries: nothing residual" 0. (residual ());
+  ignore (Engine.add_string e "/ProteinDatabase//ProteinEntry[@n!=3]");
+  ignore (Engine.add_string e "//a[@x=\"s\"]");
+  ignore (Engine.match_document e (List.hd docs));
+  Alcotest.(check bool) "!= and string constraints are residual" true (residual () >= 2.)
+
 let test_predicate_sharing_across_expressions () =
   let e = Engine.create () in
   let _ = Engine.add_string e "/a/b/c/d" in
@@ -286,6 +318,8 @@ let () =
           Alcotest.test_case "reset agrees with registry" `Quick
             test_reset_registry_agreement;
           Alcotest.test_case "predicate sharing" `Quick test_predicate_sharing_across_expressions;
+          Alcotest.test_case "residual constrained gauge" `Quick
+            test_residual_constrained_gauge;
           Alcotest.test_case "remove" `Quick test_remove;
           Alcotest.test_case "remove nested" `Quick test_remove_nested;
           Alcotest.test_case "match_stream" `Quick test_match_stream;

@@ -209,7 +209,10 @@ let prop_iter_chains_packed_agrees =
       ignore
         (Occurrence.iter_chains_packed a (fun c n ->
              packed :=
-               List.init n (fun i -> c.(i) lsr 16, c.(i) land 0xffff) :: !packed;
+               List.init n (fun i ->
+                   ( Predicate_index.packed_first c.(i),
+                     Predicate_index.packed_second c.(i) ))
+               :: !packed;
              false));
       let listed = ref [] in
       ignore

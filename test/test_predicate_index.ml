@@ -154,6 +154,83 @@ let test_inline_constraints () =
   Predicate_index.run idx res (pub_of []);
   Alcotest.(check bool) "missing attribute fails" false (Predicate_index.is_matched res pid)
 
+(* one tuple [a] carrying [attrs] verbatim (duplicates and all) *)
+let pub_with_attrs attrs =
+  let pub = Publication.of_tags [ "a" ] in
+  pub.Publication.tuples.(0).Publication.attrs <- attrs;
+  pub
+
+(* Anchored groups read an attribute exactly as Eval.attr_satisfies does:
+   first binding of the name, int_of_string_opt (String.trim v). Every
+   comparison is checked against that oracle and against the expected
+   integer reading of each value. *)
+let anchored_cases () =
+  let idx = Predicate_index.create () in
+  let cmps = Pf_xpath.Ast.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let preds =
+    List.concat_map
+      (fun cmp ->
+        List.map
+          (fun v ->
+            let c = { Predicate.attr = "x"; cmp; value = Pf_xpath.Ast.Int v } in
+            let p = Predicate.Absolute { tag = tv ~constraints:[ c ] "a"; op = Predicate.Eq; v = 1 } in
+            p, c, Predicate_index.intern idx p)
+          [ 6; 7; 8; 70 ])
+      cmps
+  in
+  let res = Predicate_index.create_results () in
+  fun attrs ->
+    Predicate_index.run idx res (pub_with_attrs attrs);
+    List.map
+      (fun (p, c, pid) ->
+        Alcotest.(check bool)
+          (Format.asprintf "%a on [%s]" Predicate.pp p
+             (String.concat "; " (List.map (fun (k, v) -> k ^ "=" ^ String.escaped v) attrs)))
+          (Pf_xpath.Eval.attr_satisfies attrs
+             { Pf_xpath.Ast.attr = c.Predicate.attr; cmp = c.Predicate.cmp; value = c.Predicate.value })
+          (Predicate_index.is_matched res pid);
+        Predicate_index.is_matched res pid)
+      preds
+
+let test_anchor_values () =
+  let check = anchored_cases () in
+  let matched attrs = List.length (List.filter Fun.id (check attrs)) in
+  (* values the decimal fast path declines, read by the general parser *)
+  let seven = matched [ "x", "7" ] in
+  List.iter
+    (fun v -> Alcotest.(check int) (Printf.sprintf "%S reads as 7" v) seven (matched [ "x", v ]))
+    [ " 7"; "+7"; "0x7"; "007" ];
+  Alcotest.(check int) "\"7_0\" reads as 70" (matched [ "x", "70" ]) (matched [ "x", "7_0" ]);
+  (* unparsable values satisfy no integer comparison, != included *)
+  List.iter
+    (fun v -> Alcotest.(check int) (Printf.sprintf "%S matches nothing" v) 0 (matched [ "x", v ]))
+    [ "abc"; "99999999999999999999"; ""; "7 7" ];
+  Alcotest.(check int) "missing attribute matches nothing" 0 (matched [ "y", "7" ])
+
+let test_anchor_duplicate_name () =
+  let matched = anchored_cases () in
+  Alcotest.(check (list bool)) "first binding wins" (matched [ "x", "7" ])
+    (matched [ "x", "7"; "x", "70" ]);
+  Alcotest.(check (list bool)) "an unparsable first binding hides later ones"
+    (matched [ "x", "abc" ])
+    (matched [ "x", "abc"; "x", "7" ]);
+  Alcotest.(check (list bool)) "other names before the binding are skipped"
+    (matched [ "x", "8" ])
+    (matched [ "y", "7"; "x", "8"; "x", "6" ])
+
+(* Occurrence pairs are packed into 31 bits per side: a position beyond
+   2^16 must read back intact (16-bit packing turned (70000, 70000) into
+   (70001, 4464)). *)
+let test_wide_occurrences () =
+  let idx = Predicate_index.create () in
+  let pid =
+    Predicate_index.intern idx (Predicate.Absolute { tag = tv "a"; op = Predicate.Eq; v = 70_000 })
+  in
+  let res = run_on idx (List.init 70_000 (fun _ -> "a")) in
+  check_pairs "(p_a,=,70000)" [ 70_000, 70_000 ] (Predicate_index.get res pid);
+  Alcotest.(check (list int)) "packed" [ Predicate_index.pack 70_000 70_000 ]
+    (Predicate_index.get_packed res pid)
+
 (* property: matching results obey the Section 4.1.1 rules exactly,
    cross-checked against a naive evaluator over the publication *)
 let naive_matches (pred : Predicate.t) (pub : Publication.t) =
@@ -236,35 +313,58 @@ let prop_matching_agrees_with_naive =
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence with the pre-rewrite list-slot implementation
-   (Pf_difftest.Predicate_ref): the cache-flat index must be
-   byte-identical — same pids, same packed pairs in the same order, same
-   probe/hit counter totals — including across re-interning churn (which
-   must not perturb anything) and mid-sequence growth (which forces a
-   flat-image rebuild between documents). *)
+   (Pf_difftest.Predicate_ref): the cache-flat index must agree exactly —
+   same pids, same packed pairs in the same order, same matched counts,
+   same hit totals — including across re-interning churn (which must not
+   perturb anything) and mid-sequence growth (which forces a flat-image
+   rebuild between documents). Probes are not equal: the flat index visits
+   an anchored pid only when its anchor holds, so its probes lie between
+   its hits and the reference's probes. *)
 
 module Pref = Pf_difftest.Predicate_ref
 
-(* like [pred_gen] but a third of the absolute predicates carry attribute
-   constraints, so the constraint-bitmap path is exercised *)
+(* like [pred_gen] but most predicates carry attribute constraints, so
+   every path of the anchored index is exercised: constraints on
+   absolute, end-of-path and relative predicates (first, second or both
+   variables), all six comparisons, string values (never anchored, so
+   they stay on the scanned slices) and tag variables with two
+   constraints (an anchor plus a full check) *)
+let constraint_gen =
+  let open QCheck2 in
+  Gen.(
+    frequency [ (4, Gen_helpers.attr_name_gen); (1, return Pf_xpath.Ast.text_attr) ]
+    >>= fun attr ->
+    oneofl Pf_xpath.Ast.[ Eq; Ne; Lt; Le; Gt; Ge ] >>= fun cmp ->
+    frequency
+      [
+        (4, int_range 0 5 >|= fun v -> Pf_xpath.Ast.Int v);
+        (1, oneofl [ "1"; "3"; "abc" ] >|= fun v -> Pf_xpath.Ast.Str v);
+      ]
+    >>= fun value -> return { Predicate.attr; cmp; value })
+
+let ctagvar_gen ~min =
+  let open QCheck2 in
+  Gen.(
+    Gen_helpers.tag_gen >>= fun t ->
+    list_size (int_range min 2) constraint_gen >>= fun cs ->
+    return (Predicate.tagvar ~constraints:cs t))
+
 let cpred_gen =
   let open QCheck2 in
-  let constraint_gen =
-    Gen.(
-      Gen_helpers.attr_name_gen >>= fun attr ->
-      oneofl Pf_xpath.Ast.[ Eq; Ne; Ge; Lt ] >>= fun cmp ->
-      int_range 0 3 >>= fun v ->
-      return { Predicate.attr; cmp; value = Pf_xpath.Ast.Int v })
-  in
+  let op_gen = Gen.oneofl [ Predicate.Eq; Predicate.Ge ] in
   Gen.(
     oneof
       [
         pred_gen;
-        pred_gen;
-        (Gen_helpers.tag_gen >>= fun t ->
-         list_size (int_range 1 2) constraint_gen >>= fun cs ->
-         oneofl [ Predicate.Eq; Predicate.Ge ] >>= fun op ->
-         int_range 1 4 >>= fun v ->
-         return (Predicate.Absolute { tag = Predicate.tagvar ~constraints:cs t; op; v }));
+        (ctagvar_gen ~min:1 >>= fun tag ->
+         op_gen >>= fun op ->
+         int_range 1 4 >>= fun v -> return (Predicate.Absolute { tag; op; v }));
+        (ctagvar_gen ~min:1 >>= fun tag ->
+         int_range 1 4 >>= fun v -> return (Predicate.End_of_path { tag; v }));
+        (ctagvar_gen ~min:0 >>= fun first ->
+         ctagvar_gen ~min:0 >>= fun second ->
+         op_gen >>= fun op ->
+         int_range 1 4 >>= fun v -> return (Predicate.Relative { first; second; op; v }));
       ])
 
 let pubs_of_docs docs =
@@ -281,6 +381,13 @@ let agree idx res rdx rres pub =
          Predicate_index.is_matched res pid = Pref.is_matched rres pid
          && Predicate_index.get_packed res pid = Pref.get_packed rres pid)
        (List.init (Predicate_index.size idx) Fun.id)
+
+let counters_agree (m_new : Predicate_index.metrics) (m_old : Pref.metrics) =
+  let probes = Pf_obs.Counter.get m_new.Predicate_index.probes
+  and hits = Pf_obs.Counter.get m_new.Predicate_index.hits in
+  hits = Pf_obs.Counter.get m_old.Pref.hits
+  && hits <= probes
+  && probes <= Pf_obs.Counter.get m_old.Pref.probes
 
 let equiv_print (batch1, batch2, docs) =
   Format.asprintf "%a then %a on %d docs" Predicate.pp_list batch1 Predicate.pp_list
@@ -321,10 +428,60 @@ let prop_flat_agrees_with_listslot =
            pids2 = rpids2 && again1 = pids1 && ragain1 = rpids1
          end
       && List.for_all (agree idx res rdx rres) after
-      && Pf_obs.Counter.get m_new.Predicate_index.probes
-         = Pf_obs.Counter.get m_old.Pref.probes
-      && Pf_obs.Counter.get m_new.Predicate_index.hits
-         = Pf_obs.Counter.get m_old.Pref.hits)
+      && counters_agree m_new m_old)
+
+(* Publications built directly, so tuples can carry what generated
+   documents never do: duplicate attribute names and values only the
+   general integer parser reads (or nothing reads). *)
+let hostile_steps_gen =
+  let open QCheck2 in
+  let value_gen =
+    Gen.oneofl
+      [ "0"; "1"; "2"; "3"; "5"; " 2"; "+1"; "0x2"; "1_0"; "-1"; "abc";
+        "99999999999999999999"; "" ]
+  in
+  let attr_gen =
+    Gen.(
+      pair
+        (frequency [ (4, Gen_helpers.attr_name_gen); (1, return Pf_xpath.Ast.text_attr) ])
+        value_gen)
+  in
+  Gen.(list_size (int_range 1 6) (pair Gen_helpers.tag_gen (list_size (int_range 0 3) attr_gen)))
+
+let pub_of_steps steps =
+  let pub = Publication.of_tags (List.map fst steps) in
+  List.iteri (fun i (_, attrs) -> pub.Publication.tuples.(i).Publication.attrs <- attrs) steps;
+  pub
+
+let prop_flat_agrees_on_hostile_attrs =
+  let open QCheck2 in
+  Test.make ~name:"flat index = list-slot reference (hostile attribute values)" ~count:600
+    ~print:(fun (preds, pubs) ->
+      Format.asprintf "%a on %s" Predicate.pp_list preds
+        (String.concat " | "
+           (List.map
+              (fun steps ->
+                String.concat "/"
+                  (List.map
+                     (fun (tag, attrs) ->
+                       tag
+                       ^ String.concat ""
+                           (List.map (fun (k, v) -> Printf.sprintf "[%s=%S]" k v) attrs))
+                     steps))
+              pubs)))
+    Gen.(pair (list_size (int_range 1 8) cpred_gen) (list_size (int_range 1 3) hostile_steps_gen))
+    (fun (preds, pubs) ->
+      let m_new = Predicate_index.make_metrics () in
+      let m_old = Pref.make_metrics () in
+      let idx = Predicate_index.create ~metrics:m_new () in
+      let rdx = Pref.create ~metrics:m_old () in
+      let pids = List.map (Predicate_index.intern idx) preds in
+      let rpids = List.map (Pref.intern rdx) preds in
+      let res = Predicate_index.create_results () in
+      let rres = Pref.create_results () in
+      pids = rpids
+      && List.for_all (fun steps -> agree idx res rdx rres (pub_of_steps steps)) pubs
+      && counters_agree m_new m_old)
 
 let prop_run_batch_agrees =
   let open QCheck2 in
@@ -361,10 +518,7 @@ let prop_run_batch_agrees =
                           = Pref.get_packed rres pid)
                      (List.init (Predicate_index.size idx) Fun.id))
               pubs)
-      && Pf_obs.Counter.get m_new.Predicate_index.probes
-         = Pf_obs.Counter.get m_old.Pref.probes
-      && Pf_obs.Counter.get m_new.Predicate_index.hits
-         = Pf_obs.Counter.get m_old.Pref.hits)
+      && counters_agree m_new m_old)
 
 let () =
   Alcotest.run "predicate_index"
@@ -386,12 +540,16 @@ let () =
           Alcotest.test_case "Table 1" `Quick test_table_1;
           Alcotest.test_case "epoch reset" `Quick test_epoch_reset;
           Alcotest.test_case "inline constraints" `Quick test_inline_constraints;
+          Alcotest.test_case "anchored attribute values" `Quick test_anchor_values;
+          Alcotest.test_case "anchored duplicate attribute" `Quick test_anchor_duplicate_name;
+          Alcotest.test_case "70,000-tag occurrence pairs" `Quick test_wide_occurrences;
         ] );
       ( "properties",
         List.map Gen_helpers.to_alcotest
           [
             prop_matching_agrees_with_naive;
             prop_flat_agrees_with_listslot;
+            prop_flat_agrees_on_hostile_attrs;
             prop_run_batch_agrees;
           ] );
     ]

@@ -34,6 +34,20 @@ let test_pos_of_occurrence () =
   Alcotest.(check (option int)) "missing tag" None
     (Publication.pos_of_occurrence pub ~tag:(sym "z") ~occurrence:1)
 
+(* (tag, occurrence) keys use 31 bits for the occurrence: with 16 bits,
+   occurrence 70000 of one symbol collided with occurrence 4464 of the
+   next *)
+let test_pos_of_wide_occurrence () =
+  let lo = Symbol.intern "wide_lo" and hi = Symbol.intern "wide_hi" in
+  let pub =
+    Publication.of_tags
+      (List.init 70_000 (fun _ -> "wide_lo") @ List.init 4_464 (fun _ -> "wide_hi"))
+  in
+  Alcotest.(check (option int)) "lo^70000" (Some 70_000)
+    (Publication.pos_of_occurrence pub ~tag:lo ~occurrence:70_000);
+  Alcotest.(check (option int)) "hi^4464" (Some 74_464)
+    (Publication.pos_of_occurrence pub ~tag:hi ~occurrence:4_464)
+
 let test_of_path_attrs () =
   let doc = Pf_xml.Sax.parse_document "<a x=\"1\"><b y=\"2\"/></a>" in
   match Pf_xml.Path.of_document doc with
@@ -73,6 +87,8 @@ let () =
           Alcotest.test_case "Example 1" `Quick test_example_1;
           Alcotest.test_case "pretty printing" `Quick test_pp;
           Alcotest.test_case "pos_of_occurrence" `Quick test_pos_of_occurrence;
+          Alcotest.test_case "pos_of_occurrence beyond 2^16" `Quick
+            test_pos_of_wide_occurrence;
           Alcotest.test_case "attributes" `Quick test_of_path_attrs;
           Alcotest.test_case "structure tuples" `Quick test_structure;
         ] );
