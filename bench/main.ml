@@ -697,12 +697,12 @@ let service () =
     Printf.printf "service: MATCH-SET MISMATCH against sequential engine\n";
     exit 1
   end;
-  (* subscription-heavy sweep: the regime the batched match path and
-     expr-mode sharding target — the Presets.heavy_subscriptions table
-     (duplicates allowed) against the skewed NITF stream, where the
-     per-replica working set is what limits throughput. Recorded under
-     "heavy"; on multi-core hosts CI asserts expr mode keeps up with doc
-     mode at the top domain count here. *)
+  (* subscription-heavy sweep: the regime expr-mode sharding targets —
+     the Presets.heavy_subscriptions table (duplicates allowed) against
+     the skewed NITF stream, where the per-replica working set is what
+     limits throughput. Recorded under "heavy"; on multi-core hosts CI
+     asserts expr mode keeps up with doc mode at the top domain count
+     here. *)
   let hqs =
     Xpath_gen.generate dtd { Presets.heavy_subscriptions with Xpath_gen.seed = !seed }
   in
@@ -733,11 +733,7 @@ let service () =
               B.time_ms (fun () -> ignore (Pf_service.filter_batch svc hdocs))
             in
             Pf_service.shutdown svc;
-            (* how many documents the workers matched through grouped
-               match_batch calls during the timed pass — shows the
-               batching actually engaged *)
-            let batched = latency_json (Pf_service.metrics svc) "batched_documents" in
-            mode, domains, ms, identical, batched)
+            mode, domains, ms, identical)
           [ 1; 2; 4 ])
       [ Pf_service.Doc; Pf_service.Expr ]
   in
@@ -747,13 +743,13 @@ let service () =
   Printf.printf "%8s %8s %12s %14s %12s %12s\n" "mode" "domains" "ms" "docs/s" "vs seq"
     "identical";
   List.iter
-    (fun (mode, domains, ms, identical, _) ->
+    (fun (mode, domains, ms, identical) ->
       Printf.printf "%8s %8d %12.1f %14.0f %11.2fx %12b\n" (Pf_service.mode_name mode)
         domains ms (hthroughput ms) (hseq_ms /. ms) identical)
     hrows;
   let ms_of want_mode want_domains =
     List.find_map
-      (fun (m, d, ms, _, _) -> if m = want_mode && d = want_domains then Some ms else None)
+      (fun (m, d, ms, _) -> if m = want_mode && d = want_domains then Some ms else None)
       hrows
   in
   let expr_vs_doc =
@@ -782,7 +778,7 @@ let service () =
          ( "rows",
            J.List
              (List.map
-                (fun (mode, domains, ms, identical, batched) ->
+                (fun (mode, domains, ms, identical) ->
                   J.Obj
                     [
                       "mode", J.String (Pf_service.mode_name mode);
@@ -791,11 +787,10 @@ let service () =
                       "docs_per_s", J.Float (hthroughput ms);
                       "speedup_vs_sequential", J.Float (hseq_ms /. ms);
                       "identical_matches", J.Bool identical;
-                      "batched_documents", batched;
                     ])
                 hrows) );
        ]);
-  if List.exists (fun (_, _, _, identical, _) -> not identical) hrows then begin
+  if List.exists (fun (_, _, _, identical) -> not identical) hrows then begin
     Printf.printf "service (heavy): MATCH-SET MISMATCH against sequential engine\n";
     exit 1
   end
@@ -897,14 +892,12 @@ let occurrence_alloc () =
   record "occurrence_stage_minor_words_per_doc_list" (J.Float (listed -. run_only))
 
 (* ------------------------------------------------------------------ *)
-(* Predicate-match (extension): the cache-flat predicate image, measured
-   single-run vs batched on two predicate sets — unconstrained NITF
-   paper_queries (the scanned slices) and PSD paper_queries with one
-   attribute filter per path (the anchored attribute groups). Each set
-   reports probes and hits per document (scale-free — CI gates them),
-   minor-heap words per document for both plans (the batched plan must be
-   allocation-free in steady state) and ns per document. run_batch must
-   reproduce the per-run match sets exactly; a mismatch fails the run. *)
+(* Predicate-match (extension): the cache-flat predicate image on two
+   predicate sets — unconstrained NITF paper_queries (the scanned slices)
+   and PSD paper_queries with one attribute filter per path (the anchored
+   attribute groups). Each set reports probes and hits per document
+   (scale-free — CI gates them), minor-heap words per document (the
+   stage must be allocation-free in steady state) and ns per document. *)
 
 type predicate_stage = {
   ps_pubs : int;
@@ -912,10 +905,7 @@ type predicate_stage = {
   ps_probes : float;  (* per document *)
   ps_hits : float;
   ps_single_words : float;
-  ps_batched_words : float;
   ps_single_ns : float;
-  ps_batched_ns : float;
-  ps_identical : bool;
 }
 
 let measure_predicate_stage ~dtd_name ~filters =
@@ -938,45 +928,10 @@ let measure_predicate_stage ~dtd_name ~filters =
   let npubs = Array.length pubs in
   let npids = PI.size idx in
   let res = PI.create_results () in
-  (* the chunked results pool and the chunk arrays are pre-built so the
-     measured batched pass is pure run_batch work *)
-  let chunk = 16 in
-  let pool = Array.init (min chunk npubs) (fun _ -> PI.create_results ()) in
-  let chunks =
-    let acc = ref [] in
-    let i = ref 0 in
-    while !i < npubs do
-      let len = min chunk (npubs - !i) in
-      let cres = if len = chunk then pool else Array.sub pool 0 len in
-      acc := (cres, Array.sub pubs !i len) :: !acc;
-      i := !i + len
-    done;
-    List.rev !acc
-  in
   let pass_single () =
     Array.iter (fun pub -> PI.run idx res pub) pubs
   in
-  let pass_batched () =
-    List.iter (fun (cres, cpubs) -> PI.run_batch idx cres cpubs) chunks
-  in
-  (* identity: every batched slot must equal a fresh per-publication run *)
-  let snapshot r =
-    List.filter_map
-      (fun pid -> if PI.is_matched r pid then Some (pid, PI.get_packed r pid) else None)
-      (List.init npids Fun.id)
-  in
-  let identical = ref true in
-  List.iter
-    (fun (cres, cpubs) ->
-      PI.run_batch idx cres cpubs;
-      Array.iteri
-        (fun i pub ->
-          PI.run idx res pub;
-          if snapshot cres.(i) <> snapshot res then identical := false)
-        cpubs)
-    chunks;
-  (* probe/hit profile of one pass over the stream (plan-independent:
-     run_batch's totals are checked equal by the test suite) *)
+  (* probe/hit profile of one pass over the stream *)
   let probes0 = Pf_obs.Counter.get m.PI.probes and hits0 = Pf_obs.Counter.get m.PI.hits in
   pass_single ();
   let probes_per_doc =
@@ -993,23 +948,18 @@ let measure_predicate_stage ~dtd_name ~filters =
     (Gc.minor_words () -. before) /. float (reps * npubs)
   in
   let single_words = minor_per_doc pass_single in
-  let batched_words = minor_per_doc pass_batched in
   let ns_per_doc pass =
     let (), ms = B.time_ms (fun () -> for _ = 1 to reps do pass () done) in
     ms *. 1e6 /. float (reps * npubs)
   in
   let single_ns = ns_per_doc pass_single in
-  let batched_ns = ns_per_doc pass_batched in
   {
     ps_pubs = npubs;
     ps_preds = npids;
     ps_probes = probes_per_doc;
     ps_hits = hits_per_doc;
     ps_single_words = single_words;
-    ps_batched_words = batched_words;
     ps_single_ns = single_ns;
-    ps_batched_ns = batched_ns;
-    ps_identical = !identical;
   }
 
 let predicate_stage_fields ps =
@@ -1019,10 +969,7 @@ let predicate_stage_fields ps =
     "probes_per_doc", J.Float ps.ps_probes;
     "hits_per_doc", J.Float ps.ps_hits;
     "minor_words_per_doc_single", J.Float ps.ps_single_words;
-    "minor_words_per_doc_batched", J.Float ps.ps_batched_words;
     "ns_per_doc_single", J.Float ps.ps_single_ns;
-    "ns_per_doc_batched", J.Float ps.ps_batched_ns;
-    "identical_matches", J.Bool ps.ps_identical;
   ]
 
 let predicate_match () =
@@ -1037,17 +984,10 @@ let predicate_match () =
   row "probes/doc" (fun p -> p.ps_probes);
   row "hits/doc" (fun p -> p.ps_hits);
   row "minor words/doc single" (fun p -> p.ps_single_words);
-  row "minor words/doc batched" (fun p -> p.ps_batched_words);
   row "ns/doc single" (fun p -> p.ps_single_ns);
-  row "ns/doc batched" (fun p -> p.ps_batched_ns);
-  Printf.printf "%26s %14b %14b\n" "identical" plain.ps_identical constrained.ps_identical;
   (* the unconstrained set keeps the experiment's top-level keys *)
   List.iter (fun (k, v) -> record k v) (predicate_stage_fields plain);
-  record "constrained" (J.Obj (predicate_stage_fields constrained));
-  if not (plain.ps_identical && constrained.ps_identical) then begin
-    Printf.printf "predicate-match: BATCHED MATCH-SET MISMATCH against per-run results\n";
-    exit 1
-  end
+  record "constrained" (J.Obj (predicate_stage_fields constrained))
 
 (* ------------------------------------------------------------------ *)
 (* Document-ingest allocation (extension): the zero-copy SAX driver and

@@ -136,29 +136,6 @@ let create ?filter ?covering_suppression () =
   let filter = match filter with Some f -> f | None -> default_filter () in
   create_over ?covering_suppression (port_of_filter filter)
 
-type config = {
-  variant : Pf_core.Expr_index.variant;
-  attr_mode : Pf_core.Engine.attr_mode;
-  dedup_paths : bool;
-  covering_suppression : bool;
-}
-
-let default_config =
-  {
-    variant = Pf_core.Expr_index.Access_predicate;
-    attr_mode = Pf_core.Engine.Inline;
-    dedup_paths = true;
-    covering_suppression = true;
-  }
-
-let create_legacy ?(config = default_config) () =
-  create
-    ~filter:
-      (Pf_core.Engine.filter ~variant:config.variant ~attr_mode:config.attr_mode
-         ~dedup_paths:config.dedup_paths ()
-        :> Pf_intf.filter)
-    ~covering_suppression:config.covering_suppression ()
-
 let metrics t = t.m.registry
 
 let with_lock t f =

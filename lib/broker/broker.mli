@@ -54,10 +54,14 @@ type t
     [Broker.create ~filter:(Pf_core.Engine.filter ~stream:Stream
     ~path_cache:true ()) ()]. *)
 
+val default_filter : unit -> Pf_intf.filter
+(** The predicate engine with duplicate-path elimination
+    ([Pf_core.Engine.filter ~dedup_paths:true ()]) — the engine a broker
+    runs when none is given. *)
+
 val create : ?filter:Pf_intf.filter -> ?covering_suppression:bool -> unit -> t
-(** [filter] defaults to the predicate engine with duplicate-path
-    elimination ([Pf_core.Engine.filter ~dedup_paths:true ()]);
-    [covering_suppression] defaults to [true]. *)
+(** [filter] defaults to {!default_filter}; [covering_suppression]
+    defaults to [true]. *)
 
 (** How the broker reaches an engine when it is not a plain in-process
     {!Pf_intf.FILTER} instance — e.g. a {!Pf_service} whose sid
@@ -83,32 +87,6 @@ val port_of_filter : Pf_intf.filter -> port
 val create_over : ?covering_suppression:bool -> port -> t
 (** A broker whose engine operations go through [port] — how the wire
     server layers the broker over a domain-parallel {!Pf_service}. *)
-
-(** {1 Deprecated configuration record}
-
-    The pre-redesign constructor: a hand-rolled record mirroring a subset
-    of {!Pf_core.Engine.create}'s parameters. Superseded by composition
-    over {!Pf_core.Engine.filter}, which also unlocks [?stream],
-    [?path_cache] and ingest modes the record never covered. Kept for one
-    release. *)
-
-type config = {
-  variant : Pf_core.Expr_index.variant;
-  attr_mode : Pf_core.Engine.attr_mode;
-  dedup_paths : bool;
-  covering_suppression : bool;
-}
-[@@ocaml.deprecated "compose Broker.create ~filter:(Pf_core.Engine.filter ...) instead"]
-
-[@@@ocaml.alert "-deprecated"]
-
-val default_config : config
-[@@ocaml.deprecated "compose Broker.create ~filter:(Pf_core.Engine.filter ...) instead"]
-
-val create_legacy : ?config:config -> unit -> t
-[@@ocaml.deprecated "use Broker.create ?filter ?covering_suppression"]
-
-[@@@ocaml.alert "+deprecated"]
 
 (** {1 Subscriptions} *)
 

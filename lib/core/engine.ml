@@ -156,9 +156,6 @@ type t = {
   scanner : Pf_xml.Path.scanner;
       (* reused by match_scan/match_stream across documents *)
   pub_arena : Publication.arena;  (* reused by match_stream across documents *)
-  mutable batch_res : Predicate_index.results array;
-      (* results pool for the batched predicate stage, one slot per
-         publication of a chunk; grown once, reused across documents *)
 }
 
 let create ?(variant = Expr_index.Access_predicate) ?(attr_mode = Inline)
@@ -198,7 +195,6 @@ let create ?(variant = Expr_index.Access_predicate) ?(attr_mode = Inline)
        else None);
     scanner = Pf_xml.Path.create_scanner ();
     pub_arena = Publication.create_arena ();
-    batch_res = [||];
   }
 
 let variant t = t.variant
@@ -626,101 +622,6 @@ let match_stream t src =
           Pf_xml.Path.stream t.scanner src ~f:(fun steps n ->
               f (Publication.of_steps t.pub_arena steps n))))
 
-(* ------------------------------------------------------------------ *)
-(* Batched matching: the predicate stage runs over a whole chunk of a
-   document's publications in one [Predicate_index.run_batch] pass (the
-   flat index image stays hot in cache instead of alternating with
-   expression-stage work), then each publication's results are evaluated
-   in order. Observationally identical to the per-publication loop of
-   [match_iter]: the predicate stage has no dependence on downstream
-   evaluation, per-publication results objects are private to the chunk,
-   and evaluation order over publications is preserved. *)
-
-let batch_chunk = 16
-
-let ensure_batch_res t n =
-  if Array.length t.batch_res < n then begin
-    let old = t.batch_res in
-    t.batch_res <-
-      Array.init n (fun i ->
-          if i < Array.length old then old.(i) else Predicate_index.create_results ())
-  end
-
-(* One document's publications, batched. Callers guarantee the fast-path
-   preconditions: no nested expressions, no path cache, no path dedup, no
-   ambient trace, no stage timing — every configuration that makes
-   per-path processing independent of its neighbours. *)
-let match_pubs_batched t (pubs : Publication.t array) =
-  ensure_stamp t;
-  t.doc_epoch <- t.doc_epoch + 1;
-  let acc = ref [] in
-  let cur_pub = ref empty_pub in
-  let cur_res = ref t.results in
-  let on_match sid =
-    if t.sid_stamp.(sid) <> t.doc_epoch then
-      match (Vec.get t.exprs sid).kind with
-      | Single { post = None; _ } ->
-        t.sid_stamp.(sid) <- t.doc_epoch;
-        acc := sid :: !acc
-      | Single { pids; post = Some post } ->
-        if
-          fill_chains t !cur_res pids
-          && Occurrence.iter_chains_packed t.chains (chain_satisfies post !cur_pub)
-        then begin
-          t.sid_stamp.(sid) <- t.doc_epoch;
-          acc := sid :: !acc
-        end
-      | Nested_expr -> assert false
-  in
-  let sticky = t.attr_mode = Inline in
-  let n = Array.length pubs in
-  let chunk = ref 0 in
-  while !chunk < n do
-    let len = min batch_chunk (n - !chunk) in
-    ensure_batch_res t len;
-    let cres =
-      if Array.length t.batch_res = len then t.batch_res
-      else Array.sub t.batch_res 0 len
-    in
-    let cpubs = Array.sub pubs !chunk len in
-    Predicate_index.run_batch t.pidx cres cpubs;
-    for i = 0 to len - 1 do
-      Pf_obs.Counter.incr t.m.paths;
-      cur_pub := cpubs.(i);
-      cur_res := cres.(i);
-      Expr_index.eval t.eidx cres.(i) ~sticky ~doc_tag:t.doc_epoch ~on_match
-    done;
-    chunk := !chunk + len
-  done;
-  Pf_obs.Counter.incr t.m.documents;
-  List.sort compare !acc
-
-let match_batch t docs =
-  let fast =
-    Nested.is_empty t.nested
-    && t.cache = None
-    && (not t.dedup_paths)
-    && (not t.collect_stats)
-    && Pf_obs.Trace.ambient () = None
-  in
-  if not fast then List.map (fun d -> match_document t d) docs
-  else
-    List.map
-      (fun doc ->
-        let lat0 = Pf_obs.Span.now () in
-        let pubs =
-          Array.of_list
-            (List.map Publication.of_path (Pf_xml.Path.of_document doc))
-        in
-        let r = match_pubs_batched t pubs in
-        Pf_obs.Qhist.observe t.m.latency
-          (Int64.to_int (Int64.sub (Pf_obs.Span.now ()) lat0));
-        r)
-      docs
-
-let match_string_batch t srcs =
-  match_batch t (List.map Pf_xml.Sax.parse_document srcs)
-
 type explanation = {
   expl_path : Pf_xml.Path.t;
   expl_chain : (Predicate.t * (int * int)) list;
@@ -837,20 +738,6 @@ let filter ?variant ?attr_mode ?collect_stats ?dedup_paths ?path_cache
       | Tree -> match_string
       | Scan -> match_scan
       | Stream -> match_stream
-
-    (* [Tree] batches the predicate stage across each document's
-       publications; the SAX modes match per document — [Stream]'s arena
-       publications alias per-length slots, so a deferred batch would read
-       overwritten tuples *)
-    let match_batch =
-      match stream with
-      | Tree -> match_batch
-      | Scan | Stream -> fun t docs -> List.map (match_document t) docs
-
-    let match_string_batch =
-      match stream with
-      | Tree -> match_string_batch
-      | Scan | Stream -> fun t srcs -> List.map (match_string t) srcs
 
     let metrics = metrics
   end)

@@ -184,20 +184,6 @@ val match_path : t -> Pf_xml.Path.t -> int list
 (** Match the single-path expressions against one document path (nested
     expressions need whole documents and are not reported here). *)
 
-val match_batch : t -> Pf_xml.Tree.t list -> int list list
-(** Match several documents, batching the predicate stage: each document's
-    publications go through {!Predicate_index.run_batch} in chunks, so the
-    flat predicate image is walked for a whole chunk back-to-back instead
-    of alternating with expression evaluation. Match sets are identical to
-    [List.map (match_document t)] — the batched plan is only taken when
-    per-path processing is independent (no nested expressions, no path
-    cache, no path dedup, no ambient trace, no stage timing); otherwise
-    each document goes through {!match_document}. *)
-
-val match_string_batch : t -> string list -> int list list
-(** Parse each document (raises {!Pf_xml.Sax.Parse_error}) then
-    {!match_batch}. *)
-
 (** {1 Match provenance} *)
 
 type explanation = {

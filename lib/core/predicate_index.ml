@@ -889,20 +889,3 @@ let run t res pub =
   run_flat t res pub;
   Pf_obs.Counter.add t.m.probes res.r_probes;
   Pf_obs.Counter.add t.m.hits res.r_hits
-
-let run_batch t ress pubs =
-  let n = Array.length pubs in
-  if Array.length ress <> n then
-    invalid_arg "Predicate_index.run_batch: results/publications length mismatch";
-  (* one freshness check for the whole batch: the flat image stays hot in
-     cache across the publications instead of alternating with downstream
-     per-document work *)
-  if t.dirty then rebuild t;
-  for i = 0 to n - 1 do
-    let res = ress.(i) in
-    res.r_probes <- 0;
-    res.r_hits <- 0;
-    run_flat t res pubs.(i);
-    Pf_obs.Counter.add t.m.probes res.r_probes;
-    Pf_obs.Counter.add t.m.hits res.r_hits
-  done

@@ -87,15 +87,6 @@ val run : t -> results -> Publication.t -> unit
     attribute's value is not a plain decimal (then the general
     [int_of_string_opt (String.trim v)] reading applies). *)
 
-val run_batch : t -> results array -> Publication.t array -> unit
-(** [run_batch idx ress pubs] matches [pubs.(i)] into [ress.(i)] for every
-    [i], exactly as [Array.iter2 (run idx) ress pubs] would — same match
-    sets, same pair order, same probe/hit counter totals — but checks the
-    flat image's freshness once for the whole batch and keeps it hot in
-    cache across the publications instead of alternating with downstream
-    per-document work. The arrays must have equal length
-    ([Invalid_argument] otherwise); steady state allocates nothing. *)
-
 val get : results -> pid -> (int * int) list
 (** Matching occurrence pairs for [pid] in the last {!run}; [[]] if the
     predicate was not matched. One-variable predicates duplicate the

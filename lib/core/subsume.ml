@@ -536,10 +536,6 @@ module Make (F : Pf_intf.FILTER) = struct
 
   let match_document t doc = fan_out t (F.match_document t.inner doc)
   let match_string t src = fan_out t (F.match_string t.inner src)
-  let match_batch t docs = List.map (fan_out t) (F.match_batch t.inner docs)
-
-  let match_string_batch t srcs =
-    List.map (fan_out t) (F.match_string_batch t.inner srcs)
 
   let metrics t = F.metrics t.inner
   let subsume_metrics t = t.registry

@@ -128,7 +128,7 @@ end
 val filter : Pf_intf.filter -> Pf_intf.filter
 (** [filter f] — {!Make} applied to a first-class filter: logical sids
     out, deduplicated physical registration in. Composes with the path
-    cache, batching, both [Pf_service] shard modes and the broker, since
+    cache, both [Pf_service] shard modes and the broker, since
     it is itself a [FILTER]. *)
 
 (** {1 Workload diagnostics} *)

@@ -141,40 +141,8 @@ let churned (filter : Pf_intf.filter) : Pf_intf.filter =
       List.sort compare
         (List.map (fun i -> Hashtbl.find t.rev i) (F.match_document t.inst doc))
 
-    (* per-document loops, so every document of a batch still gets its
-       own churn wave *)
-    let match_batch t docs = List.map (match_document t) docs
     let match_string t s = match_document t (Pf_xml.Sax.parse_document s)
-    let match_string_batch t srcs = List.map (match_string t) srcs
     let metrics t = F.metrics t.inst
-  end)
-
-(* Wrap a filter so every [match_document] goes through [match_batch] as a
-   two-element batch of the same document. The two slots must agree with
-   each other — batched matching is per-document, so one document's result
-   cannot depend on its batch position — and the delivered result then
-   diverges from the oracle iff the engine's batched plan does. This is
-   the differential wall for the chunked predicate-stage batching: a
-   results-pool slot leaking state between batch positions, or a batched
-   counter flush corrupting the pair arena, breaks the self-agreement
-   assertion before it even reaches the oracle comparison. *)
-let batched (filter : Pf_intf.filter) : Pf_intf.filter =
-  let (module F) = filter in
-  (module struct
-    include F
-
-    let match_document t doc =
-      match F.match_batch t [ doc; doc ] with
-      | [ a; b ] ->
-        if a <> b then
-          failwith "match_batch: same document, different result across batch slots";
-        a
-      | rs ->
-        failwith
-          (Printf.sprintf "match_batch: %d results for a 2-document batch"
-             (List.length rs))
-
-    let match_string t s = match_document t (Pf_xml.Sax.parse_document s)
   end)
 
 (* The subsumption wrapper under churn: canonicalization, hash-consing,
@@ -189,17 +157,6 @@ let subsumed_engine ~ename ?variant ?attr_mode ?stream () =
       churned
         (Pf_core.Subsume.filter
            (Pf_core.Engine.filter ?variant ?attr_mode ?stream () :> Pf_intf.filter));
-    supports = engine_subset;
-    finalize = ignore;
-  }
-
-let batched_engine ~ename ?variant ?attr_mode ?stream () =
-  {
-    ename;
-    filter =
-      batched
-        (Pf_core.Engine.filter ?variant ?attr_mode ?stream ()
-          :> Pf_intf.filter);
     supports = engine_subset;
     finalize = ignore;
   }
@@ -235,7 +192,7 @@ let index_filter_engine =
    a live set of worker domains. Instances created during one [run] are
    tracked so [finalize] can join their domains — the runner calls it even
    when the case crashes. Matching through the service exercises replica
-   log replay, batching and (in [Expr] mode) shard merging against the
+   log replay and (in [Expr] mode) shard merging against the
    same oracle as the sequential engines. *)
 let service_engine ~ename ~mode ~domains ?(stream = Pf_core.Engine.Tree)
     ?(subsumption = false) () =
@@ -266,20 +223,7 @@ let service_engine ~ename ~mode ~domains ?(stream = Pf_core.Engine.Tree)
       in
       match r with [ r ] -> r | _ -> assert false
 
-    (* a real batch submission: every document of the batch is in flight
-       through the worker pipeline at once, so the workers' grouped
-       match_batch path is exercised *)
-    let match_batch t docs =
-      match stream with
-      | Pf_core.Engine.Tree -> Pf_service.filter_batch t docs
-      | Scan | Stream ->
-        Pf_service.filter_batch_raw t
-          (List.map (Pf_xml.Print.to_string ~decl:false) docs)
-
     let match_string t s = match_document t (Pf_xml.Sax.parse_document s)
-
-    let match_string_batch t srcs =
-      match_batch t (List.map Pf_xml.Sax.parse_document srcs)
 
     let metrics t = Pf_service.metrics t
   end in
@@ -316,11 +260,6 @@ let extended_roster () =
          from the step stack) — the streaming-vs-tree differential wall *)
       predicate_engine ~ename:"engine-scan" ~stream:Pf_core.Engine.Scan ();
       predicate_engine ~ename:"engine-stream" ~stream:Pf_core.Engine.Stream ();
-      (* the batched matching plan (chunked predicate stage over a results
-         pool) — every document matched as a two-element batch, with a
-         batch-internal self-agreement assertion on top of the oracle
-         comparison *)
-      batched_engine ~ename:"engine-batched" ();
       (* the cross-document path-result cache under subscription churn:
          inline (symbol-keyed entries) and selection-postponed with
          attribute-sensitive keys; every document is preceded by a

@@ -63,23 +63,6 @@ val cached_engine :
   engine
 (** The predicate engine with [path_cache:true], behind {!churned}. *)
 
-val batched : Pf_intf.filter -> Pf_intf.filter
-(** Wrap a filter so every [match_document] goes through [match_batch] as
-    a two-element batch of the same document: the two results must agree
-    with each other (batched matching is per-document — a batch position
-    must not influence a document's match set) and the delivered result is
-    then compared against the oracle like any other engine's. *)
-
-val batched_engine :
-  ename:string ->
-  ?variant:Pf_core.Expr_index.variant ->
-  ?attr_mode:Pf_core.Engine.attr_mode ->
-  ?stream:Pf_core.Engine.ingest ->
-  unit ->
-  engine
-(** A predicate-engine configuration behind {!batched} — the differential
-    wall for the chunked predicate-stage batching and its results pool. *)
-
 val subsumed_engine :
   ename:string ->
   ?variant:Pf_core.Expr_index.variant ->
@@ -127,9 +110,7 @@ val extended_roster : unit -> engine list
     deduplication), ["engine-scan"] / ["engine-stream"] (the two
     tree-free SAX ingest modes — snapshot-per-path and fully streaming
     arena publications — matching the serialized document against the
-    tree-mode oracle), ["engine-batched"] (every document matched through
-    [match_batch] as a two-element batch — see {!batched_engine}),
-    ["engine-cached"] / ["engine-cached-sp"] (the
+    tree-mode oracle), ["engine-cached"] / ["engine-cached-sp"] (the
     cross-document path-result cache, inline and selection-postponed,
     under per-document subscription churn — see {!churned}),
     ["engine-stream-cached"] (the churned cache over the fully streaming

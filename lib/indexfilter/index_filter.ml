@@ -282,8 +282,3 @@ let match_document t (doc : Pf_xml.Tree.t) =
   result
 
 let match_string t s = match_document t (Pf_xml.Sax.parse_document s)
-
-(* Batched matching: the NFA/prefix-tree baselines have no cross-document
-   state to amortize, so a batch is just the per-document loop. *)
-let match_batch t docs = List.map (match_document t) docs
-let match_string_batch t srcs = List.map (match_string t) srcs

@@ -39,11 +39,6 @@ val match_document : t -> Pf_xml.Tree.t -> int list
 
 val match_string : t -> string -> int list
 
-val match_batch : t -> Pf_xml.Tree.t list -> int list list
-(** [List.map (match_document t)] — no cross-document state to amortize. *)
-
-val match_string_batch : t -> string list -> int list list
-
 val expression_count : t -> int
 val node_count : t -> int
 (** Prefix-tree nodes — the sharing metric. *)

@@ -28,8 +28,6 @@ module type FILTER = sig
   val remove : t -> int -> bool
   val match_document : t -> Pf_xml.Tree.t -> int list
   val match_string : t -> string -> int list
-  val match_batch : t -> Pf_xml.Tree.t list -> int list list
-  val match_string_batch : t -> string list -> int list list
   val metrics : t -> Pf_obs.Registry.t
 end
 
@@ -91,7 +89,5 @@ module Reference = struct
     !matches
 
   let match_string t s = match_document t (Pf_xml.Sax.parse_document s)
-  let match_batch t docs = List.map (match_document t) docs
-  let match_string_batch t srcs = List.map (match_string t) srcs
   let metrics t = t.registry
 end

@@ -70,18 +70,6 @@ module type FILTER = sig
   (** Parse the XML (raises {!Pf_xml.Sax.Parse_error}) then
       {!match_document}. *)
 
-  val match_batch : t -> Pf_xml.Tree.t list -> int list list
-  (** Match several documents in one call. Observationally equal to
-      [List.map (match_document t)] — same match sets in the same order —
-      but implementations may amortize shared work across the batch (the
-      predicate engine runs its cache-flat predicate stage over a chunk of
-      publications per pass; the service submits the whole batch through
-      its pipeline). *)
-
-  val match_string_batch : t -> string list -> int list list
-  (** [match_batch] over serialized documents; equal to
-      [List.map (match_string t)]. *)
-
   val metrics : t -> Pf_obs.Registry.t
   (** The instance's metric registry. *)
 end

@@ -43,8 +43,7 @@ type config = {
   server_name : string;
 }
 
-let config ?data_dir ?(snapshot_every = 1024)
-    ?(filter = (Pf_core.Engine.filter ~dedup_paths:true () :> Pf_intf.filter))
+let config ?data_dir ?(snapshot_every = 1024) ?(filter = Broker.default_filter ())
     ?(covering_suppression = true) ?(mode = Pf_service.Doc) ?(domains = 1) ?(batch = 8)
     ?(validate_documents = true) ?(send_timeout = 15.) ?(server_name = "pf-broker") listen =
   { listen; data_dir; snapshot_every; filter; covering_suppression; mode; domains; batch;

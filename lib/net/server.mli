@@ -69,9 +69,10 @@ val config :
   ?server_name:string ->
   listen ->
   config
-(** Defaults: no data dir, [snapshot_every] 1024, the broker's default
-    filter, suppression on, [Doc] mode, 1 domain, batch 8, validation
-    on, send timeout 15 s, name ["pf-broker"]. *)
+(** Defaults: no data dir, [snapshot_every] 1024,
+    {!Pf_broker.Broker.default_filter}, suppression on, [Doc] mode,
+    1 domain, batch 8, validation on, send timeout 15 s, name
+    ["pf-broker"]. *)
 
 type t
 

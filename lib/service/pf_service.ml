@@ -41,26 +41,19 @@ let mode_of_string = function
    the job delivers [] and the exception re-raises at [shutdown]. *)
 type payload = Tree of Pf_xml.Tree.t | Raw of string
 
+(* One submitted document in flight. [parts] has one slot per shard — 1 in [Doc] mode,
+   N in [Expr] — and the worker matching shard [k] fills slot [k] with the
+   global sids its replica matched (sorted); the worker that takes
+   [remaining] to zero merges the slots and delivers. The merge reads the
+   full parts array, so the result is independent of finish order. *)
 type job = {
   doc : payload;
   epoch : int;  (* update-log length at submission *)
+  parts : int list array;
+  remaining : int Atomic.t;
   t_submit : int64;  (* monotonic ns, for end-to-end latency *)
   trace : Pf_obs.Trace.ctx option;
   deliver : int list -> unit;
-}
-
-(* One broadcast document in [Expr] mode: every worker fills its slot of
-   [parts] with the global sids its shard matched (sorted); the worker
-   that takes [remaining] to zero merges and delivers. The merge input is
-   the full parts array, so the result is independent of finish order. *)
-type ejob = {
-  e_doc : payload;
-  e_epoch : int;
-  parts : int list array;
-  remaining : int Atomic.t;
-  e_t_submit : int64;
-  e_trace : Pf_obs.Trace.ctx option;
-  e_deliver : int list -> unit;
 }
 
 (* An engine instance packed with its operations; the existential keeps the
@@ -70,7 +63,6 @@ type replica = Replica : (module Pf_intf.FILTER with type t = 'a) * 'a -> replic
 type metrics = {
   registry : Pf_obs.Registry.t;
   documents : Pf_obs.Counter.t;
-  batched_documents : Pf_obs.Counter.t;
   batches : Pf_obs.Counter.t;
   updates_applied : Pf_obs.Counter.t;
   subscribes : Pf_obs.Counter.t;
@@ -88,9 +80,6 @@ let make_metrics () =
     registry;
     documents =
       Pf_obs.Counter.make ~registry "documents" ~help:"documents matched and delivered";
-    batched_documents =
-      Pf_obs.Counter.make ~registry "batched_documents"
-        ~help:"documents matched through a grouped engine match_batch call";
     batches = Pf_obs.Counter.make ~registry "batches" ~help:"worker batch dequeues";
     updates_applied =
       Pf_obs.Counter.make ~registry "updates_applied"
@@ -119,8 +108,9 @@ type t = {
   idle : Condition.t;  (* drainers wait here for quiescence; late shutdown
                           callers wait here for the joining one *)
   mode : mode;
-  queue : job Queue.t;  (* [Doc] mode: one shared queue *)
-  equeues : ejob Queue.t array;  (* [Expr] mode: one queue per worker *)
+  queues : job Queue.t array;
+      (* one per shard: a single shared queue in [Doc] mode, one queue per
+         worker in [Expr] mode *)
   capacity : int;
   batch : int;
   n_domains : int;
@@ -147,31 +137,63 @@ let log_update t u =
   t.n_updates <- t.n_updates + 1
 
 (* ------------------------------------------------------------------ *)
-(* Document-replicated worker loop *)
+(* Worker loop *)
 
-let worker t r =
+(* Merge two disjoint sorted sid lists. *)
+let rec merge2 a b =
+  match a, b with
+  | [], r | r, [] -> r
+  | x :: xs, y :: ys -> if x < y then x :: merge2 xs b else y :: merge2 a ys
+
+(* Worker [w] matches shard [k] — [k = 0] in [Doc] mode, [k = w] in
+   [Expr] mode — reading queue [k] and filling slot [k] of each job's
+   parts. Its replica holds global sid [g] iff [g mod S = k], with [S]
+   the shard count: every sid in [Doc] mode. The log's j-th Add entry
+   carries global sid j (the primary assigns sids densely and only
+   accepted adds are logged), so ownership is derivable from the log
+   alone; no extra coordination is needed and every worker agrees on the
+   partition at every epoch. The replica assigns its own sids densely in
+   owned-add order (the FILTER contract), so owned global [g] is local
+   [g / S] and local [l] is global [l * S + k]: strictly increasing, so a
+   sorted local match list maps to a sorted global one, and the identity
+   in [Doc] mode. *)
+let worker t w r =
   match r with
   | Replica ((module F), inst) ->
-    (* log entries already applied to this replica; grows monotonically *)
-    let applied = ref 0 in
+    let n_shards = Array.length t.queues in
+    let shard = match t.mode with Doc -> 0 | Expr -> w in
+    let queue = t.queues.(shard) in
+    let applied = ref 0 in  (* position in the full update log *)
+    let adds_seen = ref 0 in  (* Add entries among them = next global sid *)
+    let apply = function
+      | Add p ->
+        let g = !adds_seen in
+        incr adds_seen;
+        if g mod n_shards = shard then begin
+          let l = F.add inst p in
+          assert (l = g / n_shards)
+        end
+      | Remove g ->
+        if g mod n_shards = shard then ignore (F.remove inst (g / n_shards) : bool)
+    in
     let running = ref true in
     while !running do
       Mutex.lock t.lock;
-      while Queue.is_empty t.queue && not t.stopping do
+      while Queue.is_empty queue && not t.stopping do
         Condition.wait t.not_empty t.lock
       done;
-      if Queue.is_empty t.queue then begin
+      if Queue.is_empty queue then begin
         (* stopping, and the queue is drained: exit *)
         running := false;
         Mutex.unlock t.lock
       end
       else begin
-        let n = min t.batch (Queue.length t.queue) in
+        let n = min t.batch (Queue.length queue) in
         (* explicit pops: the batch must be in FIFO order (Array.init does
            not guarantee evaluation order) for the epoch bound below *)
-        let jobs = Array.make n (Queue.pop t.queue) in
+        let jobs = Array.make n (Queue.pop queue) in
         for i = 1 to n - 1 do
-          jobs.(i) <- Queue.pop t.queue
+          jobs.(i) <- Queue.pop queue
         done;
         t.in_flight <- t.in_flight + n;
         (* snapshot the log slice this batch needs: epochs are nondecreasing
@@ -182,341 +204,79 @@ let worker t r =
         Condition.broadcast t.not_full;
         Mutex.unlock t.lock;
         let first_error = ref None in
+        let fail e = if !first_error = None then first_error := Some e in
         (* worker-local latency buffer: Qhist.observe is unsynchronized,
            so observations flush into the shared histogram under the
            post-batch lock *)
         let lats = ref [] in
-        let batched = ref 0 in
-        (* batch boundary: catch the replica up to a document's epoch
-           before matching — never further *)
-        let catch_up epoch =
-          while !applied < epoch do
-            (match pending.(!applied - base) with
-            | Add p -> ignore (F.add inst p)
-            | Remove sid -> ignore (F.remove inst sid));
-            incr applied
-          done
-        in
-        let finish_job job sids =
+        let delivered = ref 0 in
+        let deliver job =
+          incr delivered;
+          let merge () = Array.fold_left merge2 [] job.parts in
+          let sids =
+            match t.mode, job.trace with
+            | Expr, Some ctx -> Pf_obs.Trace.span ctx "merge" merge
+            | _ -> merge ()
+          in
           (try
              match job.trace with
              | None -> job.deliver sids
              | Some ctx -> Pf_obs.Trace.span ctx "deliver" (fun () -> job.deliver sids)
            with e ->
-             if !first_error = None then first_error := Some e;
+             fail e;
              (* deliver something so waiters (filter_batch, drain) never
                 hang; the exception resurfaces at shutdown *)
              (try job.deliver [] with _ -> ()));
           (match job.trace with
           | None -> ()
           | Some ctx -> Pf_obs.Trace.finish ctx);
-          lats :=
-            Int64.to_int (Int64.sub (Pf_obs.Span.now ()) job.t_submit) :: !lats
+          lats := Int64.to_int (Int64.sub (Pf_obs.Span.now ()) job.t_submit) :: !lats
         in
-        let run_single job =
-          let sids =
-            try
-              catch_up job.epoch;
-              (match job.trace with
-              | None -> ()
-              | Some ctx -> Pf_obs.Trace.set_ambient ctx);
-              Fun.protect ~finally:Pf_obs.Trace.clear_ambient (fun () ->
-                  match job.doc with
-                  | Tree d -> F.match_document inst d
-                  | Raw s -> F.match_string inst s)
-            with e ->
-              if !first_error = None then first_error := Some e;
-              []
-          in
-          finish_job job sids
-        in
-        (* group consecutive untraced jobs of one epoch and one payload
-           kind into a single engine match_batch call: the replica state is
-           constant across the group (same epoch, no catch-up in between),
-           so the grouped call is observationally the per-job loop, and a
-           batching engine amortizes its predicate stage across the group *)
-        let same_group a b =
-          a.trace = None && b.trace = None
-          && a.epoch = b.epoch
-          &&
-          match a.doc, b.doc with
-          | Tree _, Tree _ | Raw _, Raw _ -> true
-          | Tree _, Raw _ | Raw _, Tree _ -> false
-        in
-        let i = ref 0 in
-        while !i < n do
-          let j = !i in
-          let job = jobs.(j) in
-          let k = ref (j + 1) in
-          while !k < n && same_group job jobs.(!k) do
-            incr k
-          done;
-          let len = !k - j in
-          if len >= 2 then begin
-            (match
-               catch_up job.epoch;
-               (match job.doc with
-               | Tree _ ->
-                 F.match_batch inst
-                   (List.init len (fun o ->
-                        match jobs.(j + o).doc with
-                        | Tree d -> d
-                        | Raw _ -> assert false))
-               | Raw _ ->
-                 F.match_string_batch inst
-                   (List.init len (fun o ->
-                        match jobs.(j + o).doc with
-                        | Raw s -> s
-                        | Tree _ -> assert false)))
-               |> fun results ->
-               if List.length results <> len then
-                 failwith "match_batch: result count mismatch"
-               else results
-             with
-            | results ->
-              batched := !batched + len;
-              List.iteri (fun o sids -> finish_job jobs.(j + o) sids) results
-            | exception _ ->
-              (* a batched engine reports the group's first failure without
-                 saying which document raised; re-run the group one document
-                 at a time so failures stay per-job (the failing document
-                 delivers [], the others their real match sets) *)
-              for o = j to !k - 1 do
-                run_single jobs.(o)
-              done);
-            i := !k
-          end
-          else begin
-            run_single job;
-            incr i
-          end
-        done;
-        Mutex.lock t.lock;
-        t.in_flight <- t.in_flight - n;
-        Pf_obs.Counter.add t.m.documents n;
-        Pf_obs.Counter.add t.m.batched_documents !batched;
-        Pf_obs.Counter.incr t.m.batches;
-        Pf_obs.Counter.add t.m.updates_applied (!applied - base);
-        List.iter (Pf_obs.Qhist.observe t.m.latency) !lats;
-        (match !first_error with
-        | Some e when t.failure = None -> t.failure <- Some e
-        | _ -> ());
-        if Queue.is_empty t.queue && t.in_flight = 0 then Condition.broadcast t.idle;
-        Mutex.unlock t.lock
-      end
-    done
-
-(* ------------------------------------------------------------------ *)
-(* Expression-sharded worker loop *)
-
-(* Merge two disjoint sorted sid lists. *)
-let rec merge2 a b =
-  match a, b with
-  | [], r | r, [] -> r
-  | x :: xs, y :: ys -> if x < y then x :: merge2 xs b else y :: merge2 a ys
-
-(* Worker [w] owns global sid [g] iff [g mod N = w]. The log's j-th Add
-   entry carries global sid j (the primary assigns sids densely and only
-   accepted adds are logged), so ownership — and the worker's own dense
-   local sid for each owned add — is derivable from the log alone; no
-   extra coordination is needed and every worker agrees on the partition
-   at every epoch. Local sids are assigned in owned-add order, so the
-   local -> global map is strictly increasing and a sorted local match
-   list maps to a sorted global one. *)
-let eworker t w r =
-  match r with
-  | Replica ((module F), inst) ->
-    let n_dom = t.n_domains in
-    let queue = t.equeues.(w) in
-    let applied = ref 0 in  (* position in the full update log *)
-    let adds_seen = ref 0 in  (* Add entries among them = next global sid *)
-    let local_of_global = Hashtbl.create 64 in
-    let g_of_l = ref (Array.make 64 0) in
-    let n_local = ref 0 in
-    let apply_one u =
-      match u with
-      | Add p ->
-        let g = !adds_seen in
-        incr adds_seen;
-        if g mod n_dom = w then begin
-          let l = F.add inst p in
-          Hashtbl.replace local_of_global g l;
-          if l >= Array.length !g_of_l then begin
-            let bigger = Array.make (2 * Array.length !g_of_l) 0 in
-            Array.blit !g_of_l 0 bigger 0 (Array.length !g_of_l);
-            g_of_l := bigger
-          end;
-          !g_of_l.(l) <- g;
-          n_local := !n_local + 1
-        end
-      | Remove g ->
-        if g mod n_dom = w then begin
-          match Hashtbl.find_opt local_of_global g with
-          | Some l -> ignore (F.remove inst l : bool)
-          | None -> ()
-        end
-    in
-    let running = ref true in
-    while !running do
-      Mutex.lock t.lock;
-      while Queue.is_empty queue && not t.stopping do
-        Condition.wait t.not_empty t.lock
-      done;
-      if Queue.is_empty queue then begin
-        running := false;
-        Mutex.unlock t.lock
-      end
-      else begin
-        let n = min t.batch (Queue.length queue) in
-        let jobs = Array.make n (Queue.pop queue) in
-        for i = 1 to n - 1 do
-          jobs.(i) <- Queue.pop queue
-        done;
-        t.in_flight <- t.in_flight + n;
-        let base = !applied in
-        let upto = max base jobs.(n - 1).e_epoch in
-        let pending = Array.sub t.updates base (upto - base) in
-        Condition.broadcast t.not_full;
-        Mutex.unlock t.lock;
-        let first_error = ref None in
-        (* jobs whose countdown this worker finished; merged and delivered
-           after the whole batch is matched (per-worker result buffer) *)
-        let to_deliver = ref [] in
-        let n_delivered = ref 0 in
-        let lats = ref [] in
-        let batched = ref 0 in
-        let catch_up epoch =
-          while !applied < epoch do
-            apply_one pending.(!applied - base);
-            incr applied
-          done
-        in
-        let complete job part =
-          job.parts.(w) <- part;
-          if Atomic.fetch_and_add job.remaining (-1) = 1 then
-            to_deliver := job :: !to_deliver
-        in
-        let run_single job =
-          let part =
-            try
-              catch_up job.e_epoch;
-              (* spans recorded here carry this worker's domain id and
-                 the job's trace id; the merge side stitches them *)
-              (match job.e_trace with
-              | None -> ()
-              | Some ctx -> Pf_obs.Trace.set_ambient ctx);
-              let locals =
-                Fun.protect ~finally:Pf_obs.Trace.clear_ambient (fun () ->
-                    match job.e_doc with
-                    | Tree d -> F.match_document inst d
-                    | Raw s -> F.match_string inst s)
-              in
-              let g = !g_of_l in
-              List.map (fun l -> g.(l)) locals
-            with e ->
-              if !first_error = None then first_error := Some e;
-              []
-          in
-          complete job part
-        in
-        (* same grouping as the document-replicated worker: consecutive
-           untraced same-epoch same-kind broadcasts go through one shard
-           match_batch call *)
-        let same_group a b =
-          a.e_trace = None && b.e_trace = None
-          && a.e_epoch = b.e_epoch
-          &&
-          match a.e_doc, b.e_doc with
-          | Tree _, Tree _ | Raw _, Raw _ -> true
-          | Tree _, Raw _ | Raw _, Tree _ -> false
-        in
-        let i = ref 0 in
-        while !i < n do
-          let j = !i in
-          let job = jobs.(j) in
-          let k = ref (j + 1) in
-          while !k < n && same_group job jobs.(!k) do
-            incr k
-          done;
-          let len = !k - j in
-          if len >= 2 then begin
-            (match
-               catch_up job.e_epoch;
-               let locals_per_doc =
-                 match job.e_doc with
-                 | Tree _ ->
-                   F.match_batch inst
-                     (List.init len (fun o ->
-                          match jobs.(j + o).e_doc with
-                          | Tree d -> d
-                          | Raw _ -> assert false))
-                 | Raw _ ->
-                   F.match_string_batch inst
-                     (List.init len (fun o ->
-                          match jobs.(j + o).e_doc with
-                          | Raw s -> s
-                          | Tree _ -> assert false))
-               in
-               if List.length locals_per_doc <> len then
-                 failwith "match_batch: result count mismatch";
-               let g = !g_of_l in
-               List.map (List.map (fun l -> g.(l))) locals_per_doc
-             with
-            | parts ->
-              batched := !batched + len;
-              List.iteri (fun o part -> complete jobs.(j + o) part) parts
-            | exception _ ->
-              (* per-document fallback: failures must stay per-job (see the
-                 document-replicated worker) *)
-              for o = j to !k - 1 do
-                run_single jobs.(o)
-              done);
-            i := !k
-          end
-          else begin
-            run_single job;
-            incr i
-          end
-        done;
-        List.iter
+        Array.iter
           (fun job ->
-            incr n_delivered;
-            let merged =
-              match job.e_trace with
-              | None -> Array.fold_left merge2 [] job.parts
-              | Some ctx ->
-                Pf_obs.Trace.span ctx "merge" (fun () ->
-                    Array.fold_left merge2 [] job.parts)
+            let part =
+              try
+                (* catch the replica up to the document's epoch before
+                   matching — never further *)
+                while !applied < job.epoch do
+                  apply pending.(!applied - base);
+                  incr applied
+                done;
+                (* spans recorded here carry this worker's domain id and
+                   the job's trace id; the delivering worker stitches them *)
+                (match job.trace with
+                | None -> ()
+                | Some ctx -> Pf_obs.Trace.set_ambient ctx);
+                let locals =
+                  Fun.protect ~finally:Pf_obs.Trace.clear_ambient (fun () ->
+                      match job.doc with
+                      | Tree d -> F.match_document inst d
+                      | Raw s -> F.match_string inst s)
+                in
+                if n_shards = 1 then locals
+                else List.map (fun l -> (l * n_shards) + shard) locals
+              with e ->
+                fail e;
+                []
             in
-            (try
-               match job.e_trace with
-               | None -> job.e_deliver merged
-               | Some ctx ->
-                 Pf_obs.Trace.span ctx "deliver" (fun () -> job.e_deliver merged)
-             with e -> if !first_error = None then first_error := Some e);
-            (match job.e_trace with
-            | None -> ()
-            | Some ctx -> Pf_obs.Trace.finish ctx);
-            lats :=
-              Int64.to_int (Int64.sub (Pf_obs.Span.now ()) job.e_t_submit) :: !lats)
-          (List.rev !to_deliver);
+            job.parts.(shard) <- part;
+            if Atomic.fetch_and_add job.remaining (-1) = 1 then deliver job)
+          jobs;
         Mutex.lock t.lock;
         t.in_flight <- t.in_flight - n;
-        (* count a document once, at its merging worker; batched shard
-           matches are per-worker, so every worker contributes *)
-        Pf_obs.Counter.add t.m.documents !n_delivered;
-        Pf_obs.Counter.add t.m.batched_documents !batched;
-        Pf_obs.Counter.add t.m.merges !n_delivered;
+        (* a document counts once, at the worker that delivered it *)
+        Pf_obs.Counter.add t.m.documents !delivered;
+        (match t.mode with
+        | Doc -> ()
+        | Expr -> Pf_obs.Counter.add t.m.merges !delivered);
         Pf_obs.Counter.incr t.m.batches;
         Pf_obs.Counter.add t.m.updates_applied (!applied - base);
         List.iter (Pf_obs.Qhist.observe t.m.latency) !lats;
         (match !first_error with
         | Some e when t.failure = None -> t.failure <- Some e
         | _ -> ());
-        if
-          t.in_flight = 0
-          && Array.for_all Queue.is_empty t.equeues
-        then Condition.broadcast t.idle;
+        if t.in_flight = 0 && Array.for_all Queue.is_empty t.queues then
+          Condition.broadcast t.idle;
         Mutex.unlock t.lock
       end
     done
@@ -549,11 +309,10 @@ let create ?(mode = Doc) ?(domains = 1) ?queue_capacity ?(batch = 8)
       not_full = Condition.create ();
       idle = Condition.create ();
       mode;
-      queue = Queue.create ();
-      equeues =
-        (match mode with
-        | Doc -> [||]
-        | Expr -> Array.init domains (fun _ -> Queue.create ()));
+      queues =
+        Array.init
+          (match mode with Doc -> 1 | Expr -> domains)
+          (fun _ -> Queue.create ());
       capacity;
       batch;
       n_domains = domains;
@@ -573,10 +332,7 @@ let create ?(mode = Doc) ?(domains = 1) ?queue_capacity ?(batch = 8)
   Pf_obs.Gauge.set m.domains_gauge (float_of_int domains);
   t.workers <-
     Array.of_list
-      (List.mapi
-         (fun w r ->
-           Domain.spawn (fun () -> match mode with Doc -> worker t r | Expr -> eworker t w r))
-         worker_replicas);
+      (List.mapi (fun w r -> Domain.spawn (fun () -> worker t w r)) worker_replicas);
   t
 
 let domains t = t.n_domains
@@ -659,11 +415,7 @@ let subscription_count t =
 (* ------------------------------------------------------------------ *)
 (* Document stream *)
 
-let queue_depth t =
-  match t.mode with
-  | Doc -> Queue.length t.queue
-  | Expr ->
-    Array.fold_left (fun acc q -> max acc (Queue.length q)) 0 t.equeues
+let queue_depth t = Array.fold_left (fun acc q -> max acc (Queue.length q)) 0 t.queues
 
 let submit_payload ?trace t doc deliver =
   Mutex.lock t.lock;
@@ -679,25 +431,23 @@ let submit_payload ?trace t doc deliver =
     done
   end;
   if t.stopping then reject ();
-  let t_submit = Pf_obs.Span.now () in
-  (match t.mode with
-  | Doc ->
-    Queue.add { doc; epoch = t.n_updates; t_submit; trace; deliver } t.queue;
-    Condition.signal t.not_empty
-  | Expr ->
-    let job =
-      {
-        e_doc = doc;
-        e_epoch = t.n_updates;
-        parts = Array.make t.n_domains [];
-        remaining = Atomic.make t.n_domains;
-        e_t_submit = t_submit;
-        e_trace = trace;
-        e_deliver = deliver;
-      }
-    in
-    Array.iter (fun q -> Queue.add job q) t.equeues;
-    Condition.broadcast t.not_empty);
+  let n_shards = Array.length t.queues in
+  let job =
+    {
+      doc;
+      epoch = t.n_updates;
+      parts = Array.make n_shards [];
+      remaining = Atomic.make n_shards;
+      t_submit = Pf_obs.Span.now ();
+      trace;
+      deliver;
+    }
+  in
+  Array.iter (fun q -> Queue.add job q) t.queues;
+  (* one shared queue: any one worker can take the job; per-worker
+     queues: every worker has it *)
+  if n_shards = 1 then Condition.signal t.not_empty
+  else Condition.broadcast t.not_empty;
   Pf_obs.Gauge.set_max t.m.queue_high_water (float_of_int (queue_depth t));
   Mutex.unlock t.lock
 
@@ -706,13 +456,7 @@ let submit_raw ?trace t src deliver = submit_payload ?trace t (Raw src) deliver
 
 let drain t =
   Mutex.lock t.lock;
-  let quiescent () =
-    t.in_flight = 0
-    &&
-    match t.mode with
-    | Doc -> Queue.is_empty t.queue
-    | Expr -> Array.for_all Queue.is_empty t.equeues
-  in
+  let quiescent () = t.in_flight = 0 && Array.for_all Queue.is_empty t.queues in
   while not (quiescent ()) do
     Condition.wait t.idle t.lock
   done;

@@ -24,21 +24,16 @@
     Documents are submitted into bounded queues (submission blocks when
     full — backpressure, not unbounded buffering) and workers dequeue
     them in batches, taking the service lock once per batch, not once per
-    document. In [Expr] mode a worker buffers the merges it is
-    responsible for and performs delivery after its whole batch is
-    matched, outside the lock.
-
-    Within a dequeued batch, consecutive jobs that share an epoch and a
-    payload kind (all parsed trees, or all raw text) and carry no trace
-    context are matched through one engine
-    {!Pf_intf.FILTER.match_batch} / [match_string_batch] call per group
-    (groups of at least two; single jobs and traced jobs keep the
-    per-document path). The replica state is constant across such a group
-    — same epoch means no catch-up between its documents — so grouping is
-    observationally the per-job loop, while a batching engine (the
-    predicate engine in [Tree] ingest) amortizes its cache-flat predicate
-    stage across the group. Delivery, latency accounting and (in [Expr]
-    mode) per-shard merge countdowns stay per-job.
+    document. Both modes run one worker loop: each document is a job
+    with one result slot per shard (one in [Doc] mode, [N] in [Expr]
+    mode) and an atomic countdown of the same size; a worker matches
+    each dequeued job with the engine's [match_document] /
+    [match_string], fills its shard's slot, and the worker that takes the
+    countdown to zero merges the slots and delivers at once, outside the
+    lock. Failures stay per job: a shard whose matching raises
+    contributes [] (a malformed document fails on every shard, so it
+    delivers []), the other jobs of the batch are unaffected, and the
+    first exception re-raises at {!shutdown}.
 
     {2 Epoch semantics}
 
@@ -176,14 +171,12 @@ val shutdown : t -> unit
 val metrics : t -> Pf_obs.Registry.t
 (** The service's own registry (scope ["service"]): counters
     ["documents"] (matched and delivered — counted once per document in
-    either mode), ["batched_documents"] (documents that went through a
-    grouped engine [match_batch] call; in [Expr] mode each worker's shard
-    match counts, so the counter can exceed ["documents"]), ["batches"]
-    (worker dequeues), ["updates_applied"] (log entries applied across
-    replicas, primary excluded), ["subscribes"], ["unsubscribes"],
-    ["submit_waits"] (submissions that blocked on a full queue),
-    ["merges"] (expression-sharded result merges); gauges ["domains"] and
-    ["queue_high_water"]. *)
+    either mode), ["batches"] (worker dequeues), ["updates_applied"]
+    (log entries applied across replicas, primary excluded),
+    ["subscribes"], ["unsubscribes"], ["submit_waits"] (submissions that
+    blocked on a full queue), ["merges"] (expression-sharded result
+    merges: one per document in [Expr] mode, 0 in [Doc] mode); gauges
+    ["domains"] and ["queue_high_water"]. *)
 
 val engine_metrics : t -> Pf_obs.Registry.t
 (** A fresh snapshot (scope ["service-engines"], unlisted) merging the

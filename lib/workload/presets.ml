@@ -18,9 +18,8 @@ let paper_queries = Xpath_gen.default
 (* Subscription-heavy regime: far more expressions than the paper's sweeps
    (duplicates allowed, as in a real dissemination system where many
    subscribers register the same feeds), against the skewed NITF-style
-   documents. The regime where per-document fixed costs — predicate-image
-   freshness checks, cache refills between expression evaluation and the
-   predicate stage — dominate, i.e. what the batched match path is for. *)
+   documents. The regime where per-document fixed costs dominate and
+   expression sharding is supposed to pay off. *)
 let heavy_subscriptions =
   { Xpath_gen.default with Xpath_gen.count = 100_000; distinct = false }
 

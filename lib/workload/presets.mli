@@ -31,8 +31,7 @@ val heavy_subscriptions : Xpath_gen.params
     dissemination workloads repeat popular feeds). Pair with
     {!nitf_documents}: a skewed, selective stream against a very large
     subscription table, where per-document fixed costs dominate and the
-    service's expr-mode sharding plus the engine's batched predicate
-    stage are supposed to pay off. *)
+    service's expr-mode sharding is supposed to pay off. *)
 
 val redundant_subscriptions : Xpath_gen.redundant_params
 (** The redundancy-skewed regime: {!Xpath_gen.default_redundant} with

@@ -107,21 +107,6 @@ let test_composed_filter () =
   Alcotest.(check (list string)) "streaming engine delivers" [ "alice" ]
     (delivery_names (Broker.publish_string b doc_src))
 
-(* one release of compatibility for the deprecated record *)
-[@@@ocaml.alert "-deprecated"]
-
-let test_legacy_config_compat () =
-  let b =
-    Broker.create_legacy
-      ~config:{ Broker.default_config with Broker.covering_suppression = false }
-      ()
-  in
-  let _ = Broker.subscribe_exn b ~subscriber:"alice" "/a//c" in
-  let s = Broker.subscribe_exn b ~subscriber:"alice" "/a/b/c" in
-  Alcotest.(check bool) "legacy config honoured" false (Broker.is_suppressed b s)
-
-[@@@ocaml.alert "+deprecated"]
-
 let test_stats () =
   let b = Broker.create () in
   let _ = Broker.subscribe_exn b ~subscriber:"alice" "/a//c" in
@@ -357,7 +342,6 @@ let () =
           Alcotest.test_case "drop subscriber" `Quick test_drop_subscriber;
           Alcotest.test_case "suppression disabled" `Quick test_suppression_disabled;
           Alcotest.test_case "composed filter" `Quick test_composed_filter;
-          Alcotest.test_case "legacy config compat" `Quick test_legacy_config_compat;
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "gauges" `Quick test_gauges;
           Alcotest.test_case "subscribe errors" `Quick test_subscribe_errors;

@@ -483,43 +483,6 @@ let prop_flat_agrees_on_hostile_attrs =
       && List.for_all (fun steps -> agree idx res rdx rres (pub_of_steps steps)) pubs
       && counters_agree m_new m_old)
 
-let prop_run_batch_agrees =
-  let open QCheck2 in
-  Test.make ~name:"run_batch = iterated reference runs" ~count:400
-    ~print:(fun (preds, docs) ->
-      Format.asprintf "%a on %d docs" Predicate.pp_list preds (List.length docs))
-    Gen.(
-      pair
-        (list_size (int_range 1 6) cpred_gen)
-        (list_size (int_range 1 3) Gen_helpers.doc_gen))
-    (fun (preds, docs) ->
-      let m_new = Predicate_index.make_metrics () in
-      let m_old = Pref.make_metrics () in
-      let idx = Predicate_index.create ~metrics:m_new () in
-      let rdx = Pref.create ~metrics:m_old () in
-      let pids = List.map (Predicate_index.intern idx) preds in
-      let rpids = List.map (Pref.intern rdx) preds in
-      let pubs = Array.of_list (pubs_of_docs docs) in
-      let n = Array.length pubs in
-      let ress = Array.init n (fun _ -> Predicate_index.create_results ()) in
-      Predicate_index.run_batch idx ress pubs;
-      let rres = Pref.create_results () in
-      pids = rpids
-      && Array.for_all Fun.id
-           (Array.mapi
-              (fun i pub ->
-                Pref.run rdx rres pub;
-                Predicate_index.matched_count ress.(i) = Pref.matched_count rres
-                && List.for_all
-                     (fun pid ->
-                       Predicate_index.is_matched ress.(i) pid
-                       = Pref.is_matched rres pid
-                       && Predicate_index.get_packed ress.(i) pid
-                          = Pref.get_packed rres pid)
-                     (List.init (Predicate_index.size idx) Fun.id))
-              pubs)
-      && counters_agree m_new m_old)
-
 let () =
   Alcotest.run "predicate_index"
     [
@@ -550,6 +513,5 @@ let () =
             prop_matching_agrees_with_naive;
             prop_flat_agrees_with_listslot;
             prop_flat_agrees_on_hostile_attrs;
-            prop_run_batch_agrees;
           ] );
     ]

@@ -218,35 +218,80 @@ let test_concurrent_shutdown () =
       Service.submit svc doc_a ignore)
 
 let test_metrics () =
-  let svc = Service.create ~domains:2 (Pf_core.Engine.filter () :> Pf_intf.filter) in
-  let sid_a = Service.subscribe_string svc "/a" in
-  let sid_b = Service.subscribe_string svc "//b" in
-  ignore (Service.unsubscribe svc sid_b);
-  let docs = List.init 20 (fun _ -> doc_a) in
-  let results = Service.filter_batch svc docs in
+  (* counters balance in both modes: each document counted once, one
+     merge per document exactly when results are sharded *)
   List.iter
-    (fun r -> Alcotest.(check (list int)) "only /a matches" [ sid_a ] r)
-    results;
-  Service.shutdown svc;
-  Alcotest.(check int) "domains" 2 (Service.domains svc);
-  Alcotest.(check int) "subscription_count counts accepted sids" 2
-    (Service.subscription_count svc);
-  let find name =
-    match Pf_obs.Registry.find_counter (Service.metrics svc) name with
-    | Some n -> n
-    | None -> Alcotest.failf "service counter %s missing" name
+    (fun mode ->
+      let name = Service.mode_name mode in
+      let svc = Service.create ~mode ~domains:2 (Pf_core.Engine.filter () :> Pf_intf.filter) in
+      let sid_a = Service.subscribe_string svc "/a" in
+      let sid_b = Service.subscribe_string svc "//b" in
+      ignore (Service.unsubscribe svc sid_b);
+      let docs = List.init 20 (fun _ -> doc_a) in
+      let results = Service.filter_batch svc docs in
+      List.iter
+        (fun r -> Alcotest.(check (list int)) (name ^ ": only /a matches") [ sid_a ] r)
+        results;
+      Service.shutdown svc;
+      Alcotest.(check int) "domains" 2 (Service.domains svc);
+      Alcotest.(check int) "subscription_count counts accepted sids" 2
+        (Service.subscription_count svc);
+      let find name =
+        match Pf_obs.Registry.find_counter (Service.metrics svc) name with
+        | Some n -> n
+        | None -> Alcotest.failf "service counter %s missing" name
+      in
+      Alcotest.(check int) (name ^ ": documents") 20 (find "documents");
+      Alcotest.(check int) (name ^ ": merges")
+        (match mode with Service.Doc -> 0 | Service.Expr -> find "documents")
+        (find "merges");
+      Alcotest.(check int) "subscribes" 2 (find "subscribes");
+      Alcotest.(check int) "unsubscribes" 1 (find "unsubscribes");
+      Alcotest.(check bool) "batches recorded" true (find "batches" > 0);
+      (* merged engine view: the worker replicas together processed every
+         document once per shard; the primary processed none *)
+      let merged = Pf_service.engine_metrics svc in
+      Alcotest.(check string) "merged scope" "service-engines"
+        (Pf_obs.Registry.scope merged);
+      Alcotest.(check (option int)) (name ^ ": engine documents sum across replicas")
+        (Some (match mode with Service.Doc -> 20 | Service.Expr -> 40))
+        (Pf_obs.Registry.find_counter merged "documents"))
+    [ Service.Doc; Service.Expr ]
+
+let test_failures_stay_per_job () =
+  (* a malformed document in the middle of a dequeued batch delivers [];
+     its neighbours in the same batch still deliver their real match sets,
+     and the parse error re-raises at shutdown *)
+  let subs = [ "/a"; "/a/b"; "//c"; "/a/*/d" ] in
+  let good = [ "<a><b/></a>"; "<a><c><d/></c></a>"; "<a><b><c/></b></a>" ] in
+  let malformed = "<a><b></a>" in
+  let docs = [ List.nth good 0; malformed; List.nth good 1; List.nth good 2 ] in
+  let seq = Pf_core.Engine.create () in
+  List.iter (fun x -> ignore (Pf_core.Engine.add_string seq x)) subs;
+  let expected =
+    List.map
+      (fun src ->
+        if src = malformed then []
+        else Pf_core.Engine.match_document seq (Pf_xml.Sax.parse_document src))
+      docs
   in
-  Alcotest.(check int) "documents" 20 (find "documents");
-  Alcotest.(check int) "subscribes" 2 (find "subscribes");
-  Alcotest.(check int) "unsubscribes" 1 (find "unsubscribes");
-  Alcotest.(check bool) "batches recorded" true (find "batches" > 0);
-  (* merged engine view: the worker replicas together processed all 20
-     documents; the primary processed none *)
-  let merged = Pf_service.engine_metrics svc in
-  Alcotest.(check string) "merged scope" "service-engines"
-    (Pf_obs.Registry.scope merged);
-  Alcotest.(check (option int)) "engine documents sum across replicas" (Some 20)
-    (Pf_obs.Registry.find_counter merged "documents")
+  List.iter
+    (fun (mode, domains) ->
+      let label = Printf.sprintf "%s/%d" (Service.mode_name mode) domains in
+      let svc =
+        Service.create ~mode ~domains ~batch:4 (Pf_core.Engine.filter () :> Pf_intf.filter)
+      in
+      List.iter (fun x -> ignore (Service.subscribe_string svc x)) subs;
+      Alcotest.(check (list (list int)))
+        (label ^ ": per-job results") expected
+        (Service.filter_batch_raw svc docs);
+      match Service.shutdown svc with
+      | () -> Alcotest.failf "%s: shutdown did not re-raise the parse error" label
+      | exception Pf_xml.Sax.Parse_error _ -> ())
+    [
+      Service.Doc, 1; Service.Doc, 2; Service.Doc, 3;
+      Service.Expr, 1; Service.Expr, 2; Service.Expr, 3;
+    ]
 
 let test_expr_mode_under_load () =
   (* expression-sharded: every worker sees every document; delivery still
@@ -313,6 +358,7 @@ let () =
             `Quick test_unsupported_nested_keeps_replicas_aligned;
           Alcotest.test_case "concurrent shutdown" `Quick test_concurrent_shutdown;
           Alcotest.test_case "metrics" `Quick test_metrics;
+          Alcotest.test_case "failures stay per job" `Quick test_failures_stay_per_job;
           Alcotest.test_case "expression-sharded under load" `Quick
             test_expr_mode_under_load;
           Alcotest.test_case "expression-sharded unsubscribe routing" `Quick
