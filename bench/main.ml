@@ -803,7 +803,9 @@ let service () =
    determination — measured in minor-heap words per document. The
    difference (packed - run_only) is the occurrence stage's own
    allocation, which should be ~0; the list variant shows what the arena
-   replaced. *)
+   replaced. A fourth pass runs the engine's expression stage itself —
+   the access-predicate trie walk with sticky reporting, one tag per
+   document — and records its allocation and the trie nodes it enters. *)
 
 let occurrence_alloc () =
   let dtd = dtd_of "nitf" in
@@ -817,11 +819,12 @@ let occurrence_alloc () =
         | exception _ -> None)
       (queries dtd (if !full then 5_000 else 2_000))
   in
-  let pubs =
-    List.concat_map
+  let docs_pubs =
+    List.map
       (fun d -> List.map Pf_core.Publication.of_path (Pf_xml.Path.of_document d))
       (documents "nitf" (if !full then 50 else 20))
   in
+  let pubs = List.concat docs_pubs in
   let npubs = List.length pubs in
   let res = Pf_core.Predicate_index.create_results () in
   let arena = Pf_core.Occurrence.create_arena () in
@@ -861,11 +864,30 @@ let occurrence_alloc () =
           exprs)
       pubs
   in
+  let walk_metrics = Pf_core.Expr_index.make_metrics () in
+  let walk =
+    Pf_core.Expr_index.create ~metrics:walk_metrics Pf_core.Expr_index.Access_predicate
+  in
+  List.iteri (fun sid pids -> Pf_core.Expr_index.add walk ~sid ~pids) exprs;
+  let on_match (_ : int) = () in
+  let doc_tag = ref 0 in
+  let walk_pub pub =
+    Pf_core.Predicate_index.run idx res pub;
+    Pf_core.Expr_index.eval walk res ~sticky:true ~doc_tag:!doc_tag ~on_match
+  in
+  let pass_walk () =
+    List.iter
+      (fun doc ->
+        incr doc_tag;
+        List.iter walk_pub doc)
+      docs_pubs
+  in
   (* warm-up grows the scratch structures to their steady-state size *)
   pass_packed ();
   pass_list ();
+  pass_walk ();
+  let reps = 3 in
   let minor_per_doc pass =
-    let reps = 3 in
     let before = Gc.minor_words () in
     for _ = 1 to reps do
       pass ()
@@ -875,6 +897,12 @@ let occurrence_alloc () =
   let run_only = minor_per_doc pass_run_only in
   let packed = minor_per_doc pass_packed in
   let listed = minor_per_doc pass_list in
+  let visits0 = Pf_obs.Counter.get walk_metrics.Pf_core.Expr_index.visits in
+  let walked = minor_per_doc pass_walk in
+  let visits_per_doc =
+    float (Pf_obs.Counter.get walk_metrics.Pf_core.Expr_index.visits - visits0)
+    /. float (reps * npubs)
+  in
   Printf.printf
     "\n== occurrence-alloc: %d XPE predicate rows, %d publications (minor words/doc) ==\n"
     (List.length exprs) npubs;
@@ -883,13 +911,17 @@ let occurrence_alloc () =
     (packed -. run_only);
   Printf.printf "%24s %18.1f   (occurrence stage: %.1f)\n" "run + list-based" listed
     (listed -. run_only);
+  Printf.printf "%24s %18.1f   (expression walk: %.1f, %.1f trie visits/doc)\n"
+    "run + trie walk" walked (walked -. run_only) visits_per_doc;
   record "publications" (J.Int npubs);
   record "exprs" (J.Int (List.length exprs));
   record "minor_words_per_doc_run_only" (J.Float run_only);
   record "minor_words_per_doc_packed" (J.Float packed);
   record "minor_words_per_doc_list" (J.Float listed);
   record "occurrence_stage_minor_words_per_doc_packed" (J.Float (packed -. run_only));
-  record "occurrence_stage_minor_words_per_doc_list" (J.Float (listed -. run_only))
+  record "occurrence_stage_minor_words_per_doc_list" (J.Float (listed -. run_only));
+  record "expr_walk_minor_words_per_doc" (J.Float (walked -. run_only));
+  record "trie_visits_per_doc" (J.Float visits_per_doc)
 
 (* ------------------------------------------------------------------ *)
 (* Predicate-match (extension): the cache-flat predicate image on two

@@ -59,6 +59,10 @@ let classify ~exp path =
     (* deterministic work profile of the predicate stage on the seeded
        workload: growth means the index got less selective *)
     Free_lower
+  else if base = "trie_visits_per_doc" then
+    (* deterministic work profile of the expression stage: growth means
+       the trie walk enters nodes it used to skip *)
+    Free_lower
   else if base = "physical_over_logical" || base = "covers_probes_per_expr" then
     (* deterministic sharing profile of the subsumption index on the
        seeded redundant workload: a rising ratio means lost sharing, a

@@ -331,25 +331,41 @@ let drop_subscriber_in t ~ns subscriber =
 (* Delivery resolution *)
 
 (* Group matching sids into per-subscriber deliveries within [ns]. [sids]
-   arrive sorted; via-lists are re-sorted by uid because re-activated
+   arrive sorted; via-lists are sorted by uid because re-activated
    subscriptions hold fresh sids (sid order /= uid order), and uids are
-   the identity that survives recovery. *)
+   the identity that survives recovery. The matched subscriptions go into
+   one array sorted by (subscriber, uid), which is then cut into one run
+   per subscriber — no per-document table, no sort per subscriber. *)
 let resolve_in t ~ns sids =
-  let per_subscriber : (string, subscription list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun sid ->
-      match Hashtbl.find_opt t.by_sid sid with
-      | Some sub when sub.ns = ns -> (
-        match Hashtbl.find_opt per_subscriber sub.subscriber with
-        | Some l -> l := sub :: !l
-        | None -> Hashtbl.add per_subscriber sub.subscriber (ref [ sub ]))
-      | Some _ | None -> ())
-    sids;
-  Hashtbl.fold
-    (fun subscriber via acc ->
-      (subscriber, List.sort (fun s1 s2 -> compare s1.uid s2.uid) !via) :: acc)
-    per_subscriber []
-  |> List.sort (fun (s1, _) (s2, _) -> String.compare s1 s2)
+  let subs =
+    Array.of_list
+      (List.filter_map
+         (fun sid ->
+           match Hashtbl.find_opt t.by_sid sid with
+           | Some sub when String.equal sub.ns ns -> Some sub
+           | Some _ | None -> None)
+         sids)
+  in
+  Array.sort
+    (fun s1 s2 ->
+      let c = String.compare s1.subscriber s2.subscriber in
+      if c <> 0 then c else Int.compare s1.uid s2.uid)
+    subs;
+  (* cut from the back so each run's list comes out in uid order *)
+  let rec runs i acc =
+    if i < 0 then acc
+    else begin
+      let subscriber = subs.(i).subscriber in
+      let rec run j via =
+        if j >= 0 && String.equal subs.(j).subscriber subscriber then
+          run (j - 1) (subs.(j) :: via)
+        else j, via
+      in
+      let j, via = run i [] in
+      runs j ((subscriber, via) :: acc)
+    end
+  in
+  runs (Array.length subs - 1) []
 
 type delivery = {
   subscriber : string;

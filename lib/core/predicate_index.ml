@@ -517,6 +517,9 @@ type results = {
   mutable cells : int array;
   mutable n_cells : int; (* cells used this epoch *)
   mutable matched : int; (* matched predicates this epoch *)
+  mutable mpids : int array;
+      (* the pids matched this epoch in first-match order: slots
+         [0 .. matched-1], appended when a pid is first stamped *)
   mutable r_probes : int;
       (* [run]'s scratch counters — fields rather than refs so a run
          allocates nothing; flushed to the metrics once per run *)
@@ -542,6 +545,7 @@ let create_results () =
     cells = [||];
     n_cells = 0;
     matched = 0;
+    mpids = [||];
     r_probes = 0;
     r_hits = 0;
     ra_off = [||];
@@ -559,7 +563,9 @@ let ensure_capacity res n =
     Array.blit res.stamp 0 stamp 0 (Array.length res.stamp);
     Array.blit res.heads 0 heads 0 (Array.length res.heads);
     res.stamp <- stamp;
-    res.heads <- heads
+    res.heads <- heads;
+    (* a pid is appended at most once per epoch: [cap] slots suffice *)
+    res.mpids <- Array.make cap 0
   end
 
 let record res pid packed =
@@ -574,6 +580,7 @@ let record res pid packed =
   else begin
     res.stamp.(pid) <- res.epoch;
     res.cells.((2 * c) + 1) <- -1;
+    res.mpids.(res.matched) <- pid;
     res.matched <- res.matched + 1
   end;
   res.heads.(pid) <- c;
@@ -605,6 +612,7 @@ let get res pid =
   List.map (fun p -> packed_first p, packed_second p) (get_packed res pid)
 
 let matched_count res = res.matched
+let matched_pid res i = res.mpids.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Attribute resolution: once per tuple per run, allocation-free unless a

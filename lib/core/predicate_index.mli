@@ -126,3 +126,8 @@ val is_matched : results -> pid -> bool
 
 val matched_count : results -> int
 (** Number of predicates matched by the last {!run}. *)
+
+val matched_pid : results -> int -> pid
+(** [matched_pid res i], for [0 <= i < matched_count res], is the [i]-th
+    distinct pid the last {!run} matched, in first-match order. The
+    expression index dispatches its trie roots from these. *)

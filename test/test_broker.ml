@@ -325,6 +325,109 @@ let prop_snapshot_faithful =
       in
       shape (Broker.publish b d) = shape (Broker.publish b2 d))
 
+(* property: delivery resolution is the historical per-subscriber table
+   grouping. The broker runs over a recording port so every engine sid
+   it hands out — including the fresh sids of subscriptions re-activated
+   when their cover leaves — is known; [reference] is that grouping,
+   copied here over (ns, subscriber, uid) records. *)
+type sub_op =
+  | Sub of int * int * Pf_xpath.Ast.path  (* namespace, subscriber, expression *)
+  | Unsub of int  (* index into the subscriptions made so far *)
+
+let reference by_sid ~ns sids =
+  let per_subscriber : (string, (string * int) list ref) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun sid ->
+      match Hashtbl.find_opt by_sid sid with
+      | Some (sns, subscriber, uid) when sns = ns -> (
+        match Hashtbl.find_opt per_subscriber subscriber with
+        | Some l -> l := (subscriber, uid) :: !l
+        | None -> Hashtbl.add per_subscriber subscriber (ref [ subscriber, uid ]))
+      | Some _ | None -> ())
+    sids;
+  Hashtbl.fold
+    (fun subscriber via acc ->
+      (subscriber, List.sort (fun (_, u1) (_, u2) -> compare u1 u2) !via) :: acc)
+    per_subscriber []
+  |> List.sort (fun (s1, _) (s2, _) -> String.compare s1 s2)
+  |> List.map (fun (s, via) -> s, List.map snd via)
+
+let prop_resolution_matches_reference =
+  let namespaces = [| ""; "tenant" |] and subscribers = [| "ann"; "bob"; "cy" |] in
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [
+          ( 3,
+            map3
+              (fun n s p -> Sub (n, s, p))
+              (int_range 0 1) (int_range 0 2) Gen_helpers.single_path_gen );
+          1, map (fun i -> Unsub i) (int_range 0 31);
+        ])
+  in
+  QCheck2.Test.make ~name:"delivery resolution = per-subscriber grouping" ~count:300
+    ~print:(fun (ops, _) ->
+      String.concat " ; "
+        (List.map
+           (function
+             | Sub (n, s, p) ->
+               Printf.sprintf "%s/%s:%s" namespaces.(n) subscribers.(s)
+                 (Gen_helpers.path_print p)
+             | Unsub i -> "-" ^ string_of_int i)
+           ops))
+    QCheck2.Gen.(pair (list_size (int_range 1 30) op_gen) (list_size (int_range 0 40) bool))
+    (fun (ops, picks) ->
+      (* every engine registration, newest first: (sid, the expression) *)
+      let issued = ref [] in
+      let port =
+        {
+          Broker.port_subscribe =
+            (fun e ->
+              let sid = List.length !issued in
+              issued := (sid, e) :: !issued;
+              sid);
+          port_unsubscribe = (fun _ -> true);
+          port_match = (fun _ -> []);
+          port_match_string = (fun _ -> []);
+          port_engine_metrics = (fun () -> None);
+        }
+      in
+      let b = Broker.create_over port in
+      let subs = ref [||] in
+      List.iter
+        (function
+          | Sub (n, s, p) ->
+            (* a private copy of the expression, so a registration is
+               traced back to its subscription by physical identity *)
+            let p = Pf_xpath.Parser.parse (Pf_xpath.Parser.to_string p) in
+            let sub =
+              Broker.subscribe_path_exn b ~ns:namespaces.(n) ~subscriber:subscribers.(s) p
+            in
+            subs := Array.append !subs [| sub |]
+          | Unsub i ->
+            if Array.length !subs > 0 then
+              ignore (Broker.unsubscribe b !subs.(i mod Array.length !subs) : bool))
+        ops;
+      let by_sid = Hashtbl.create 16 in
+      List.iter
+        (fun (sid, e) ->
+          Array.iter
+            (fun sub ->
+              if Broker.expression_of sub == e then
+                Hashtbl.replace by_sid sid
+                  (Broker.ns_of sub, Broker.subscriber_of sub, Broker.subscription_id sub))
+            !subs)
+        !issued;
+      (* a sorted sample of the issued sids [0 .. n-1] and of [n], which
+         no registration returned *)
+      let n = List.length !issued in
+      let sids =
+        List.filter (fun sid -> List.nth_opt picks sid = Some true) (List.init (n + 1) Fun.id)
+      in
+      Array.for_all
+        (fun ns -> Broker.deliveries_of_sids b ~ns sids = reference by_sid ~ns sids)
+        namespaces)
+
 let () =
   Alcotest.run "broker"
     [
@@ -353,5 +456,10 @@ let () =
         ] );
       ( "properties",
         List.map Gen_helpers.to_alcotest
-          [ prop_suppression_transparent; prop_churn_consistent; prop_snapshot_faithful ] );
+          [
+            prop_suppression_transparent;
+            prop_churn_consistent;
+            prop_snapshot_faithful;
+            prop_resolution_matches_reference;
+          ] );
     ]

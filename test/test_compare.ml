@@ -156,6 +156,31 @@ let test_run_exit_codes () =
       Alcotest.(check int) "host mismatch ungated exits 0" 0
         (C.run ~gate_timing:false old_p alien_p))
 
+let test_trie_visits () =
+  (* the expression walk's work profile is scale-free: more trie nodes
+     entered per document gates even across hosts, fewer passes *)
+  let occ visits =
+    J.Obj
+      [
+        "schema", J.String "predfilter-bench/1";
+        "scale", J.String "scaled";
+        "seed", J.Int 7;
+        ( "experiments",
+          J.Obj
+            [
+              ( "occurrence-alloc",
+                J.Obj
+                  [
+                    "hardware_cores", J.Int 1;
+                    "shard_mode", J.String "sequential";
+                    "trie_visits_per_doc", J.Float visits;
+                  ] );
+            ] );
+      ]
+  in
+  check_ok "more visits fail" false (C.compare_json ~gate_timing:false (occ 50.) (occ 80.));
+  check_ok "fewer visits pass" true (C.compare_json ~gate_timing:false (occ 50.) (occ 20.))
+
 let () =
   Alcotest.run "compare"
     [
@@ -169,5 +194,6 @@ let () =
           Alcotest.test_case "host mismatch" `Quick test_host_mismatch;
           Alcotest.test_case "gate-timing off" `Quick test_gate_timing_off;
           Alcotest.test_case "run exit codes" `Quick test_run_exit_codes;
+          Alcotest.test_case "trie visits gate" `Quick test_trie_visits;
         ] );
     ]

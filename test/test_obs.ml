@@ -562,6 +562,7 @@ let test_cross_engine_invariants () =
   Alcotest.(check bool) "ap prunes runs" true (runs_ap <= runs_basic);
   Alcotest.(check bool) "ap skipped something" true
     (counter_of r_ap "access_skips" + counter_of r_ap "prefix_cover_skips" > 0);
+  Alcotest.(check bool) "ap entered trie nodes" true (counter_of r_ap "trie_visits" > 0);
   List.iter
     (fun r ->
       let probes = counter_of r "predicate_probes" in
