@@ -800,12 +800,13 @@ let service () =
    make the occurrence stage allocation-free in steady state. Three
    passes over the same publications — predicate matching alone, plus
    packed-arena occurrence determination, plus list-based occurrence
-   determination — measured in minor-heap words per document. The
+   determination — measured in minor-heap words per publication. The
    difference (packed - run_only) is the occurrence stage's own
    allocation, which should be ~0; the list variant shows what the arena
    replaced. A fourth pass runs the engine's expression stage itself —
-   the access-predicate trie walk with sticky reporting, one tag per
-   document — and records its allocation and the trie nodes it enters. *)
+   the access-predicate trie walk over chunks of each document's paths,
+   one tag per document — and records its allocation and the trie nodes
+   it enters. *)
 
 let occurrence_alloc () =
   let dtd = dtd_of "nitf" in
@@ -871,15 +872,22 @@ let occurrence_alloc () =
   List.iteri (fun sid pids -> Pf_core.Expr_index.add walk ~sid ~pids) exprs;
   let on_match (_ : int) = () in
   let doc_tag = ref 0 in
+  let walk_chunk () =
+    Pf_core.Expr_index.eval walk res ~doc_tag:!doc_tag ~on_match;
+    Pf_core.Predicate_index.clear res
+  in
   let walk_pub pub =
-    Pf_core.Predicate_index.run idx res pub;
-    Pf_core.Expr_index.eval walk res ~sticky:true ~doc_tag:!doc_tag ~on_match
+    Pf_core.Predicate_index.run_next idx res pub;
+    if Pf_core.Predicate_index.chunk_paths res = Pf_core.Predicate_index.chunk_capacity then
+      walk_chunk ()
   in
   let pass_walk () =
     List.iter
       (fun doc ->
         incr doc_tag;
-        List.iter walk_pub doc)
+        Pf_core.Predicate_index.clear res;
+        List.iter walk_pub doc;
+        if Pf_core.Predicate_index.chunk_paths res > 0 then walk_chunk ())
       docs_pubs
   in
   (* warm-up grows the scratch structures to their steady-state size *)

@@ -336,16 +336,20 @@ let drop_subscriber_in t ~ns subscriber =
    the identity that survives recovery. The matched subscriptions go into
    one array sorted by (subscriber, uid), which is then cut into one run
    per subscriber — no per-document table, no sort per subscriber. *)
-let resolve_in t ~ns sids =
-  let subs =
-    Array.of_list
-      (List.filter_map
-         (fun sid ->
-           match Hashtbl.find_opt t.by_sid sid with
-           | Some sub when String.equal sub.ns ns -> Some sub
-           | Some _ | None -> None)
-         sids)
-  in
+(* The subscriptions behind [sids] in namespace [ns]: the only step of
+   delivery resolution that reads mutable broker state. *)
+let lookup_in t ~ns sids =
+  Array.of_list
+    (List.filter_map
+       (fun sid ->
+         match Hashtbl.find_opt t.by_sid sid with
+         | Some sub when String.equal sub.ns ns -> Some sub
+         | Some _ | None -> None)
+       sids)
+
+(* Group looked-up subscriptions by subscriber, in subscriber order, each
+   group in uid order. Reads only immutable fields, so it needs no lock. *)
+let group subs =
   Array.sort
     (fun s1 s2 ->
       let c = String.compare s1.subscriber s2.subscriber in
@@ -375,7 +379,7 @@ type delivery = {
 let publish_sids_in t ~ns sids =
   Pf_obs.Counter.incr t.m.documents;
   let deliveries =
-    List.map (fun (subscriber, via) -> { subscriber; via }) (resolve_in t ~ns sids)
+    List.map (fun (subscriber, via) -> { subscriber; via }) (group (lookup_in t ~ns sids))
   in
   Pf_obs.Counter.add t.m.deliveries (List.length deliveries);
   Log.debug (fun m ->
@@ -428,8 +432,10 @@ let publish_string t ?(ns = default_ns) src =
   with_lock t (fun () -> publish_sids_in t ~ns (t.port.port_match_string src))
 
 let deliveries_of_sids t ~ns sids =
-  with_lock t (fun () ->
-      List.map (fun (s, via) -> s, List.map (fun sub -> sub.uid) via) (resolve_in t ~ns sids))
+  (* only the lookup holds the lock: mutations contend with it at the
+     publish rate *)
+  let subs = with_lock t (fun () -> lookup_in t ~ns sids) in
+  List.map (fun (s, via) -> s, List.map (fun sub -> sub.uid) via) (group subs)
 
 let count_publish t ~deliveries =
   Pf_obs.Counter.incr t.m.documents;

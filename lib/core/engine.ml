@@ -137,6 +137,10 @@ type t = {
   eidx : Expr_index.t;
   nested : Nested.t;
   exprs : expr_info Vec.t;
+  mutable plain : Bytes.t;
+      (* sid -> '\001' iff active, single-path and without postponed
+         checks: its structural matches are matches, read from one byte
+         rather than through [exprs] *)
   chains : Occurrence.arena;
       (* scratch for postponed-mode chain enumeration; distinct from the
          expression index's own arena, which is live mid-descent when the
@@ -176,6 +180,7 @@ let create ?(variant = Expr_index.Access_predicate) ?(attr_mode = Inline)
       Vec.create
         ~dummy:{ source = Ast.path [ Ast.step (Ast.Tag "x") ]; kind = Nested_expr; active = false }
         ();
+    plain = Bytes.empty;
     chains = Occurrence.create_arena ();
     m;
     sid_stamp = [||];
@@ -288,6 +293,14 @@ let add t (p : Ast.path) =
   | Single { pids; _ } -> Expr_index.add t.eidx ~sid ~pids
   | Nested_expr -> Nested.add t.nested ~sid p);
   ignore (Vec.push t.exprs info : int);
+  if sid >= Bytes.length t.plain then begin
+    let b = Bytes.make (max 16 (2 * (sid + 1))) '\000' in
+    Bytes.blit t.plain 0 b 0 (Bytes.length t.plain);
+    t.plain <- b
+  end;
+  (match info.kind with
+  | Single { post = None; _ } -> Bytes.set t.plain sid '\001'
+  | Single { post = Some _; _ } | Nested_expr -> ());
   if Ast.has_attr_filters p then t.constrained <- true;
   Pf_obs.Gauge.set t.m.distinct_preds (float_of_int (Predicate_index.size t.pidx));
   bump_cache_epoch t;
@@ -309,6 +322,7 @@ let remove t sid =
       in
       if removed then begin
         info.active <- false;
+        Bytes.set t.plain sid '\000';
         bump_cache_epoch t
       end;
       removed
@@ -353,8 +367,9 @@ let chain_satisfies post pub chain n =
   in
   go 0
 
-(* Fill the engine's chain arena with the candidate sets of [pids] from
-   [res]; false (short-circuiting) if any predicate recorded no pair. *)
+(* Fill the engine's chain arena with the candidate sets of [pids] on
+   [res]'s newest path; false (short-circuiting) if any predicate
+   recorded no pair. *)
 let fill_chains t res pids =
   let a = t.chains in
   Occurrence.clear a;
@@ -367,6 +382,19 @@ let fill_chains t res pids =
         Occurrence.row_len a i > 0 && fetch (i + 1))
   in
   fetch 0
+
+(* Whether a structural match of [sid] is a match on [pub], the newest
+   path of [t.results]. A plain sid accepts from one byte; a postponed
+   one checks its attribute constraints against the occurrence chains. *)
+let accepts t sid pub =
+  Bytes.get t.plain sid <> '\000'
+  ||
+  match (Vec.get t.exprs sid).kind with
+  | Single { pids; post = Some post } ->
+    fill_chains t t.results pids
+    && Occurrence.iter_chains_packed t.chains (chain_satisfies post pub)
+  | Single { post = None; _ } -> true
+  | Nested_expr -> assert false
 
 (* Cache key for one publication. The symbol sequence is length-prefixed
    and fixed-width, and every attribute name/value is length-prefixed, so
@@ -424,8 +452,8 @@ let match_iter t iter_pubs =
   let doc_id = t.doc_epoch in
   let acc = ref [] in
   let mark sid =
-    if t.sid_stamp.(sid) <> t.doc_epoch then begin
-      t.sid_stamp.(sid) <- t.doc_epoch;
+    if t.sid_stamp.(sid) <> doc_id then begin
+      t.sid_stamp.(sid) <- doc_id;
       acc := sid :: !acc
     end
   in
@@ -466,34 +494,44 @@ let match_iter t iter_pubs =
      document instead of one per path — on the streaming path, per-path
      closures were the residual allocation after the arenas. *)
   let cur_pub = ref empty_pub in
-  let on_match sid =
-    if t.sid_stamp.(sid) <> t.doc_epoch then
-      match (Vec.get t.exprs sid).kind with
-      | Single { post = None; _ } -> mark sid
-      | Single { pids; post = Some post } ->
-        if
-          fill_chains t t.results pids
-          && Occurrence.iter_chains_packed t.chains (chain_satisfies post !cur_pub)
-        then mark sid
-      | Nested_expr -> assert false
+  let on_match sid = if t.sid_stamp.(sid) <> doc_id && accepts t sid !cur_pub then mark sid in
+  (* Inline matches are accepted unconditionally, so the predicate stage
+     fills a chunk of the document's paths and one walk under the
+     document's tag evaluates them together. Postponed checks read the
+     path's publication, so there every path is walked alone, under a tag
+     of its own. *)
+  let chunked = t.attr_mode = Inline in
+  Predicate_index.clear t.results;
+  let walk () =
+    let doc_tag =
+      if chunked then doc_id
+      else begin
+        t.doc_epoch <- t.doc_epoch + 1;
+        t.doc_epoch
+      end
+    in
+    (* the traced path pays a closure for the span; the plain path calls
+       the evaluator directly and allocates nothing *)
+    if traced then
+      Pf_obs.Trace.with_span "occurrence" (fun () ->
+          Expr_index.eval t.eidx t.results ~doc_tag ~on_match)
+    else Expr_index.eval t.eidx t.results ~doc_tag ~on_match;
+    Predicate_index.clear t.results
   in
-  let sticky = t.attr_mode = Inline in
   let process_uncached pub =
       Pf_obs.Counter.incr t.m.paths;
       cur_pub := pub;
       let t0 = if timed then Pf_obs.Span.now () else 0L in
       if traced then
         Pf_obs.Trace.with_span "match" (fun () ->
-            Predicate_index.run t.pidx t.results pub)
-      else Predicate_index.run t.pidx t.results pub;
+            Predicate_index.run_next t.pidx t.results pub)
+      else Predicate_index.run_next t.pidx t.results pub;
       let t1 = if timed then Pf_obs.Span.now () else 0L in
-      (* the traced path pays a closure for the span; the plain path calls
-         the evaluator directly and allocates nothing *)
-      if traced then
-        Pf_obs.Trace.with_span "occurrence" (fun () ->
-            Expr_index.eval t.eidx t.results ~sticky ~doc_tag:t.doc_epoch ~on_match)
-      else Expr_index.eval t.eidx t.results ~sticky ~doc_tag:t.doc_epoch ~on_match;
       if nested_active then Nested.observe_path t.nested t.results pub;
+      if
+        (not chunked)
+        || Predicate_index.chunk_paths t.results = Predicate_index.chunk_capacity
+      then walk ();
       if timed then begin
         let t2 = Pf_obs.Span.now () in
         Pf_obs.Span.add t.m.predicate_span (Int64.sub t1 t0);
@@ -533,7 +571,7 @@ let match_iter t iter_pubs =
       let t1 = if timed then Pf_obs.Span.now () else 0L in
       (* compute the *complete* per-path sid set under a fresh clock tick:
          the cached value must not be truncated by what already matched
-         this document, and the expression index's sticky dedup scopes to
+         this document, and the expression index's report marks scope to
          the path, which is exactly what makes the entry reusable *)
       t.doc_epoch <- t.doc_epoch + 1;
       let ptag = t.doc_epoch in
@@ -542,21 +580,8 @@ let match_iter t iter_pubs =
         t.sid_stamp.(sid) <- ptag;
         matched := sid :: !matched
       in
-      let on_match sid =
-        if t.sid_stamp.(sid) <> ptag then
-          match (Vec.get t.exprs sid).kind with
-          | Single { post = None; _ } -> hit sid
-          | Single { pids; post = Some post } ->
-            if
-              fill_chains t t.results pids
-              && Occurrence.iter_chains_packed t.chains (chain_satisfies post pub)
-            then hit sid
-          | Nested_expr -> assert false
-      in
-      let eval () =
-        Expr_index.eval t.eidx t.results ~sticky:(t.attr_mode = Inline) ~doc_tag:ptag
-          ~on_match
-      in
+      let on_match sid = if t.sid_stamp.(sid) <> ptag && accepts t sid pub then hit sid in
+      let eval () = Expr_index.eval t.eidx t.results ~doc_tag:ptag ~on_match in
       if traced then Pf_obs.Trace.with_span "occurrence" eval else eval ();
       if timed then begin
         let t2 = Pf_obs.Span.now () in
@@ -580,6 +605,12 @@ let match_iter t iter_pubs =
         match cache with
         | None -> process_uncached pub
         | Some c -> process_cached c pub);
+  (* the document's last, partial chunk *)
+  if cache = None && Predicate_index.chunk_paths t.results > 0 then begin
+    let t1 = if timed then Pf_obs.Span.now () else 0L in
+    walk ();
+    if timed then Pf_obs.Span.add t.m.expr_span (Int64.sub (Pf_obs.Span.now ()) t1)
+  end;
   let t2 = if timed then Pf_obs.Span.now () else 0L in
   if nested_active then Nested.finish_document t.nested ~on_match:mark;
   let result = List.sort compare !acc in
@@ -589,7 +620,7 @@ let match_iter t iter_pubs =
   Pf_obs.Qhist.observe t.m.latency
     (Int64.to_int (Int64.sub (Pf_obs.Span.now ()) lat0));
   Log.debug (fun m ->
-      m "document %d: %d expressions matched (%d paths so far)" t.doc_epoch
+      m "document %d: %d expressions matched (%d paths so far)" doc_id
         (List.length result)
         (Pf_obs.Counter.get t.m.paths));
   result
@@ -688,24 +719,12 @@ let match_path t path =
   let pub = Publication.of_path path in
   Predicate_index.run t.pidx t.results pub;
   let on_match sid =
-    if t.sid_stamp.(sid) <> t.doc_epoch then begin
-      match (Vec.get t.exprs sid).kind with
-      | Single { post = None; _ } ->
-        t.sid_stamp.(sid) <- t.doc_epoch;
-        acc := sid :: !acc
-      | Single { pids; post = Some post } ->
-        if
-          fill_chains t t.results pids
-          && Occurrence.iter_chains_packed t.chains (chain_satisfies post pub)
-        then begin
-          t.sid_stamp.(sid) <- t.doc_epoch;
-          acc := sid :: !acc
-        end
-      | Nested_expr -> assert false
+    if t.sid_stamp.(sid) <> t.doc_epoch && accepts t sid pub then begin
+      t.sid_stamp.(sid) <- t.doc_epoch;
+      acc := sid :: !acc
     end
   in
-  Expr_index.eval t.eidx t.results ~sticky:(t.attr_mode = Inline) ~doc_tag:t.doc_epoch
-    ~on_match;
+  Expr_index.eval t.eidx t.results ~doc_tag:t.doc_epoch ~on_match;
   List.sort compare !acc
 
 (* ------------------------------------------------------------------ *)

@@ -17,14 +17,15 @@ let variant_of_name = function
    registry. [runs] is the quantity the Section 4.2.2 optimizations
    minimize; [cover_skips]/[access_skips] count how often prefix covering
    and access predicates avoided work; [visits] counts trie nodes entered;
-   [chain_len] observes the predicate chain length of each occurrence
-   determination run. *)
+   [walks] counts evaluations; [chain_len] observes the predicate chain
+   length of each occurrence determination run. *)
 type metrics = {
   runs : Pf_obs.Counter.t;
   steps : Pf_obs.Counter.t;
   cover_skips : Pf_obs.Counter.t;
   access_skips : Pf_obs.Counter.t;
   visits : Pf_obs.Counter.t;
+  walks : Pf_obs.Counter.t;
   chain_len : Pf_obs.Histogram.t;
 }
 
@@ -44,7 +45,10 @@ let make_metrics ?registry () =
         ~help:"trie subtrees skipped because their access predicate had no match";
     visits =
       Pf_obs.Counter.make ?registry "trie_visits"
-        ~help:"expression-trie nodes entered by the expression stage";
+        ~help:"expression-trie nodes entered; a walk enters a node at most once";
+    walks =
+      Pf_obs.Counter.make ?registry "expr_walks"
+        ~help:"expression-stage walks, one per chunk of a document's paths";
     chain_len =
       Pf_obs.Histogram.make ?registry "chain_length"
         ~help:"predicate chain length per occurrence determination run";
@@ -66,16 +70,10 @@ type t = {
   mutable depth : int array;  (* 0 at roots *)
   mutable sids : int list array;
   mutable mark : int array;
-      (* document tag of the last sticky sid report: a document has many
-         paths, and once a node's sids are reported for one path they need
-         not be re-reported for the document's remaining paths (valid only
-         when on_match marks unconditionally, i.e. no postponed checks) *)
+      (* tag of the last sid report: a document has many paths, and once
+         a node's sids are reported they are not re-reported or
+         re-evaluated under the same tag *)
   mutable covered : int array;  (* prefix-covering mark, per eval pass *)
-  mutable done_tag : int array;
-      (* document tag under which the whole subtree was done: nothing in
-         it is left to report, so the sticky walk does not enter it *)
-  mutable ndone_tag : int array;  (* the document tag [ndone] counts for *)
-  mutable ndone : int array;  (* children done under [ndone_tag] *)
   mutable nkids : int array;
   mutable kid_pid : int array array;  (* first [nkids] slots sorted by pid *)
   mutable kid : int array array;  (* node ids aligned with [kid_pid] *)
@@ -94,20 +92,21 @@ type t = {
      allocates nothing; flushed to the metrics once per eval *)
   mutable e_visits : int;
   mutable e_skips : int;
-  (* access-predicate walk scratch: [live.(pid) = live_tag] iff [pid]
-     matched the publication being evaluated (copied once per eval from
-     the predicate stage's matched pids, so the child scan is a local
-     array read rather than a call into Predicate_index); [stack.(d)] is
-     the node entered at depth [d], and arena rows [0 .. filled-1] hold
-     the pairs of [stack.(0 .. filled-1)] *)
-  mutable live : int array;
-  mutable live_tag : int;
+  (* access-predicate walk scratch: [pmask.(pid)] is the mask of the
+     chunk's paths [pid] matched on, 0 outside a walk (copied once per
+     walk from the predicate stage's matched pids, so the child scan is a
+     local array read rather than a call into Predicate_index);
+     [stack.(d)] is the node entered at depth [d], and arena rows
+     [0 .. filled-1] hold the pairs of [stack.(0 .. filled-1)] on path
+     [fill_path] *)
+  mutable pmask : int array;
   mutable stack : int array;
   mutable filled : int;
+  mutable fill_path : int;
   m : metrics;
 }
 
-(* A tag no document carries: fresh nodes are neither marked nor done. *)
+(* A tag no document carries: fresh nodes are not marked. *)
 let never = min_int
 
 (* Shared placeholder filling unused [by_depth] slots (Vec.ensure fills with
@@ -126,9 +125,6 @@ let create ?metrics variant =
     sids = [||];
     mark = [||];
     covered = [||];
-    done_tag = [||];
-    ndone_tag = [||];
-    ndone = [||];
     nkids = [||];
     kid_pid = [||];
     kid = [||];
@@ -141,10 +137,10 @@ let create ?metrics variant =
     n_nodes = 0;
     e_visits = 0;
     e_skips = 0;
-    live = [||];
-    live_tag = 0;
+    pmask = [||];
     stack = Array.make 16 0;
     filled = 0;
+    fill_path = 0;
     m = (match metrics with Some m -> m | None -> make_metrics ());
   }
 
@@ -163,9 +159,6 @@ let new_node t ~pid ~parent ~depth =
     t.sids <- grow t.sids cap [];
     t.mark <- grow t.mark cap never;
     t.covered <- grow t.covered cap 0;
-    t.done_tag <- grow t.done_tag cap never;
-    t.ndone_tag <- grow t.ndone_tag cap never;
-    t.ndone <- grow t.ndone cap 0;
     t.nkids <- grow t.nkids cap 0;
     t.kid_pid <- grow t.kid_pid cap [||];
     t.kid <- grow t.kid cap [||]
@@ -240,8 +233,8 @@ let add t ~sid ~pids =
     Hashtbl.replace t.flat_pos sid (Vec.push t.flat (sid, pids))
   | Prefix_covering | Access_predicate | Shared ->
     let top = Array.fold_left max 0 pids in
-    if top >= Array.length t.live then
-      t.live <- grow t.live (max (top + 1) (2 * Array.length t.live)) 0;
+    if top >= Array.length t.pmask then
+      t.pmask <- grow t.pmask (max (top + 1) (2 * Array.length t.pmask)) 0;
     let n = ref (add_root t pids.(0)) in
     for i = 1 to Array.length pids - 1 do
       n := add_kid t !n pids.(i)
@@ -263,16 +256,9 @@ let add t ~sid ~pids =
       ignore (Vec.push bucket n : int)
     end;
     t.sids.(n) <- sid :: t.sids.(n);
-    (* the new sid (and any new nodes) make the root path not done; its
-       done counts restart, which can only make the walk enter more *)
-    let rec undone a =
-      if a >= 0 then begin
-        t.done_tag.(a) <- never;
-        t.ndone_tag.(a) <- never;
-        undone t.parent.(a)
-      end
-    in
-    undone n
+    (* a node reported under the current tag reports again, new sid
+       included *)
+    t.mark.(n) <- never
 
 let expression_count t = t.n_exprs
 let node_count t = t.n_nodes
@@ -299,12 +285,12 @@ let remove t ~sid ~pids =
 
 (* ------------------------------------------------------------------ *)
 
-(* Fill arena row [i] with pid's recorded pairs; true iff non-empty. The
-   copy into contiguous memory is what the backtracking search — which
-   revisits rows repeatedly — then runs over. *)
-let fill_row a res i pid =
+(* Fill arena row [i] with pid's pairs on path [j] of the chunk; true iff
+   non-empty. The copy into contiguous memory is what the backtracking
+   search — which revisits rows repeatedly — then runs over. *)
+let fill_row a res i pid j =
   Occurrence.start_row a i;
-  Occurrence.push_chain a (Predicate_index.cells res) (Predicate_index.head res pid);
+  Occurrence.push_chain a (Predicate_index.cells res) (Predicate_index.head_on res pid j);
   Occurrence.row_len a i > 0
 
 (* One occurrence determination run is about to happen over a chain of
@@ -313,52 +299,62 @@ let note_run t len =
   Pf_obs.Counter.incr t.m.runs;
   Pf_obs.Histogram.observe t.m.chain_len len
 
-let report t n ~sticky ~doc_tag ~on_match =
-  if sticky then t.mark.(n) <- doc_tag;
+let report t n ~doc_tag ~on_match =
+  t.mark.(n) <- doc_tag;
   List.iter on_match t.sids.(n)
 
 (* Flush the per-eval scratch counts. *)
 let flush t ~steps0 =
+  Pf_obs.Counter.incr t.m.walks;
   Pf_obs.Counter.add t.m.steps (Occurrence.search_steps t.arena - steps0);
   Pf_obs.Counter.add t.m.visits t.e_visits;
   Pf_obs.Counter.add t.m.access_skips t.e_skips;
   t.e_visits <- 0;
   t.e_skips <- 0
 
+(* Basic: every expression whose predicates all matched on a path gets a
+   run there; the chunk's paths are tried in order until one matches. *)
 let eval_basic t res ~on_match =
   let a = t.arena in
   (* backtracking steps: the arena's monotone counter, flushed as a delta
      once per pass (a [~steps] ref would allocate a [Some] per run) *)
-  let s0 = Occurrence.search_steps a in
+  let steps0 = Occurrence.search_steps a in
+  let paths = Predicate_index.chunk_paths res in
   Vec.iter
     (fun (sid, pids) ->
       let n = Array.length pids in
-      if n > 0 then begin
-        Occurrence.clear a;
-        (* fetch each predicate's results; stop at the first empty one *)
-        let rec fetch i = i >= n || (fill_row a res i pids.(i) && fetch (i + 1)) in
-        if fetch 0 then begin
-          note_run t n;
-          if Occurrence.matches_packed a then on_match sid
-        end
-      end)
+      let rec on_path j =
+        j < paths
+        && begin
+             Occurrence.clear a;
+             (* fetch each predicate's results; stop at the first empty one *)
+             let rec fetch i = i >= n || (fill_row a res i pids.(i) j && fetch (i + 1)) in
+             (fetch 0
+             && begin
+                  note_run t n;
+                  Occurrence.matches_packed a
+                end)
+             || on_path (j + 1)
+           end
+      in
+      if n > 0 && on_path 0 then on_match sid)
     t.flat;
-  Pf_obs.Counter.add t.m.steps (Occurrence.search_steps a - s0)
+  flush t ~steps0
 
-(* Prefix covering (without access predicates). Sid-bearing trie nodes are
-   evaluated longest-first (by descending depth): each gets the flat
-   algorithm's treatment — check its own predicate chain for dead results
-   leaf-to-root, fill the arena root-to-leaf, then one occurrence
-   determination run — but a match marks every ancestor node covered, so
-   prefix expressions (and all duplicates, which share the node) are
-   reported without evaluation. Unlike the access-predicate variant, a
-   dead predicate does not rule out anything beyond the one expression
-   being checked. *)
-let rec pc_alive t res n =
-  n < 0 || (Predicate_index.is_matched res t.pid.(n) && pc_alive t res t.parent.(n))
+(* Prefix covering (without access predicates), one pass per path of the
+   chunk. Sid-bearing trie nodes are evaluated longest-first (by
+   descending depth): each gets the flat algorithm's treatment — check its
+   own predicate chain for dead results leaf-to-root, fill the arena
+   root-to-leaf, then one occurrence determination run — but a match
+   marks every ancestor node covered, so prefix expressions (and all
+   duplicates, which share the node) are reported without evaluation.
+   Unlike the access-predicate variant, a dead predicate does not rule
+   out anything beyond the one expression being checked. *)
+let rec pc_alive t res j n =
+  n < 0 || (Predicate_index.matched_on res t.pid.(n) j && pc_alive t res j t.parent.(n))
 
-let rec pc_fill t res n =
-  n < 0 || (pc_fill t res t.parent.(n) && fill_row t.arena res t.depth.(n) t.pid.(n))
+let rec pc_fill t res j n =
+  n < 0 || (pc_fill t res j t.parent.(n) && fill_row t.arena res t.depth.(n) t.pid.(n) j)
 
 let rec pc_cover t epoch n =
   if n >= 0 && t.covered.(n) <> epoch then begin
@@ -366,166 +362,160 @@ let rec pc_cover t epoch n =
     pc_cover t epoch t.parent.(n)
   end
 
-let eval_pc t res ~sticky ~doc_tag ~on_match =
+let pc_pass t res j ~doc_tag ~on_match =
   t.pc_epoch <- t.pc_epoch + 1;
   let epoch = t.pc_epoch in
   let a = t.arena in
-  let steps0 = Occurrence.search_steps a in
   for depth = Vec.length t.by_depth - 1 downto 0 do
     let bucket = Vec.get t.by_depth depth in
     for i = 0 to Vec.length bucket - 1 do
       let n = Vec.get bucket i in
-      if t.sids.(n) <> [] && not (sticky && t.mark.(n) = doc_tag) then begin
+      if t.sids.(n) <> [] && t.mark.(n) <> doc_tag then begin
         t.e_visits <- t.e_visits + 1;
         if t.covered.(n) = epoch then begin
           Pf_obs.Counter.add t.m.cover_skips (List.length t.sids.(n));
-          report t n ~sticky ~doc_tag ~on_match
+          report t n ~doc_tag ~on_match
         end
         else if
-          pc_alive t res n
+          pc_alive t res j n
           && begin
                Occurrence.clear a;
-               ignore (pc_fill t res n : bool);
+               ignore (pc_fill t res j n : bool);
                note_run t (depth + 1);
                Occurrence.matches_to a depth
              end
         then begin
-          report t n ~sticky ~doc_tag ~on_match;
+          report t n ~doc_tag ~on_match;
           t.covered.(n) <- epoch;
           pc_cover t epoch t.parent.(n)
         end
       end
     done
+  done
+
+let eval_pc t res ~doc_tag ~on_match =
+  let steps0 = Occurrence.search_steps t.arena in
+  for j = 0 to Predicate_index.chunk_paths res - 1 do
+    pc_pass t res j ~doc_tag ~on_match
   done;
   flush t ~steps0
 
-(* Access predicates on top of prefix covering: a subtree whose entry
-   predicate has no matching result is ruled out without visiting it (at
-   the root this is the paper's clustering by first predicate; applying it
-   at every node generalizes the same rule recursively). The walk starts
-   from the pids the predicate stage matched, each looked up in [root_of],
-   so unmatched roots cost nothing; at a node it scans the sorted child
-   pids and enters only the matched ones. Arena rows are filled lazily:
-   entering a node only records it on [stack], and a node that needs an
-   occurrence run fills the rows its ancestors have not filled yet, so
-   nodes passed through on the way to a covering match fetch nothing, and
-   a run still reuses every row an earlier run on the same root path
-   filled.
+(* Access predicates on top of prefix covering, over a chunk of a
+   document's paths at once. A subtree whose entry predicate matched on
+   none of the chunk's paths is ruled out without visiting it (at the
+   root this is the paper's clustering by first predicate; applying it at
+   every node generalizes the same rule recursively). The walk starts
+   from the pids the chunk matched, each looked up in [root_of], so
+   unmatched roots cost nothing, and it carries the mask of the paths on
+   which every pid of the node's root path matched: a child is entered
+   iff its pid's mask intersects it, so each node is entered at most once
+   per chunk, however many of its paths reach it.
 
-   Under sticky reporting a node is {e done} for [doc_tag] once it has no
-   sids left to report (none, or already marked) and all its children are
-   done. A done node is counted at its parent; a node whose done count
-   reaches its child count is stamped done at the end of its visit, and
-   the walk never enters a done subtree again for that tag. Skipping it
-   returns "not matched" to the parent's covering flag, which is what a
-   visit would have returned: every sid node inside is marked, and a
-   marked node passes up only what lies below it.
+   A node with unreported sids is covered when anything below it matched,
+   on any path: a match on path j implies its prefix matches on path j,
+   and sids are reported once per [doc_tag], not per path. Otherwise it
+   gets Algorithm 1 runs, one per path in its mask, lowest first, until
+   one matches. Arena rows are filled lazily: entering a node only
+   records it on [stack], and a run fills the rows its ancestors have not
+   filled yet for its path, so nodes passed through on the way to a
+   covering match fetch nothing, and a run reuses every row an earlier
+   run on the same root path and path filled. A node already reported
+   under [doc_tag] passes up only what lies below it.
 
    The recursion is written as top-level functions taking everything as
    arguments rather than closures: the visit runs once per entered node
-   per document path, and the whole evaluation allocates nothing. *)
-let rec ap_visit t res ~sticky ~doc_tag ~on_match n depth =
+   per chunk, and the whole evaluation allocates nothing. *)
+let rec ap_visit t res ~doc_tag ~on_match n depth m =
   t.e_visits <- t.e_visits + 1;
   if depth >= Array.length t.stack then t.stack <- grow t.stack (2 * depth) 0;
   t.stack.(depth) <- n;
   if t.filled > depth then t.filled <- depth;
-  let below = ap_kids t res ~sticky ~doc_tag ~on_match n (depth + 1) in
+  let below = ap_kids t res ~doc_tag ~on_match n (depth + 1) m in
   let sids = t.sids.(n) in
-  let matched =
-    if sids = [] then below
-    else if sticky && t.mark.(n) = doc_tag then
-      (* already fully reported for this document: no run needed *)
-      below
-    else if below then begin
-      (* a longer expression below matched: covered, no run needed *)
-      Pf_obs.Counter.add t.m.cover_skips (List.length sids);
-      report t n ~sticky ~doc_tag ~on_match;
-      true
-    end
-    else begin
-      let a = t.arena in
-      for d = t.filled to depth do
-        ignore (fill_row a res d t.pid.(t.stack.(d)) : bool)
-      done;
-      t.filled <- depth + 1;
-      note_run t (depth + 1);
-      if Occurrence.matches_to a depth then begin
-        report t n ~sticky ~doc_tag ~on_match;
-        true
-      end
-      else false
-    end
-  in
-  if
-    sticky
-    && (sids = [] || t.mark.(n) = doc_tag)
-    && (t.nkids.(n) = 0 || (t.ndone_tag.(n) = doc_tag && t.ndone.(n) = t.nkids.(n)))
-  then begin
-    t.done_tag.(n) <- doc_tag;
-    let p = t.parent.(n) in
-    if p >= 0 then
-      if t.ndone_tag.(p) = doc_tag then t.ndone.(p) <- t.ndone.(p) + 1
-      else begin
-        t.ndone_tag.(p) <- doc_tag;
-        t.ndone.(p) <- 1
-      end
-  end;
-  matched
+  if sids = [] || t.mark.(n) = doc_tag then below
+  else if below then begin
+    (* a longer expression below matched: covered, no run needed *)
+    Pf_obs.Counter.add t.m.cover_skips (List.length sids);
+    report t n ~doc_tag ~on_match;
+    true
+  end
+  else ap_run t res ~doc_tag ~on_match n depth m 0
 
-and ap_kids t res ~sticky ~doc_tag ~on_match n depth =
+and ap_kids t res ~doc_tag ~on_match n depth m =
   let kp = t.kid_pid.(n) and kd = t.kid.(n) in
-  let live = t.live and tag = t.live_tag in
+  let pmask = t.pmask in
   let nk = t.nkids.(n) in
   let below = ref false and hits = ref 0 in
   for i = 0 to nk - 1 do
-    (* [i < nkids <= length kp], and [add] sizes [live] past every pid
+    (* [i < nkids <= length kp], and [add] sizes [pmask] past every pid
        stored in the trie: this scan is the walk's inner loop *)
-    if Array.unsafe_get live (Array.unsafe_get kp i) = tag then begin
+    let mc = m land Array.unsafe_get pmask (Array.unsafe_get kp i) in
+    if mc <> 0 then begin
       incr hits;
-      let c = kd.(i) in
-      if
-        (not (sticky && t.done_tag.(c) = doc_tag))
-        && ap_visit t res ~sticky ~doc_tag ~on_match c depth
-      then below := true
+      if ap_visit t res ~doc_tag ~on_match kd.(i) depth mc then below := true
     end
   done;
   (* dead access predicates: those subtrees are ruled out unvisited *)
   t.e_skips <- t.e_skips + nk - !hits;
   !below
 
-let eval_ap t res ~sticky ~doc_tag ~on_match =
+(* Algorithm 1 at node [n] on the paths of [m] from path [j] up. *)
+and ap_run t res ~doc_tag ~on_match n depth m j =
+  if m lsr j = 0 then false
+  else if (m lsr j) land 1 = 0 then ap_run t res ~doc_tag ~on_match n depth m (j + 1)
+  else begin
+    if t.fill_path <> j then begin
+      t.fill_path <- j;
+      t.filled <- 0
+    end;
+    let a = t.arena in
+    for d = t.filled to depth do
+      ignore (fill_row a res d t.pid.(t.stack.(d)) j : bool)
+    done;
+    t.filled <- depth + 1;
+    note_run t (depth + 1);
+    if Occurrence.matches_to a depth then begin
+      report t n ~doc_tag ~on_match;
+      true
+    end
+    else ap_run t res ~doc_tag ~on_match n depth m (j + 1)
+  end
+
+let eval_ap t res ~doc_tag ~on_match =
   let steps0 = Occurrence.search_steps t.arena in
-  let m = Predicate_index.matched_count res in
-  t.live_tag <- t.live_tag + 1;
-  let live = t.live in
+  let m = Predicate_index.chunk_matched_count res in
+  let pmask = t.pmask in
   for i = 0 to m - 1 do
-    (* a pid beyond [live] is on no trie node *)
-    let p = Predicate_index.matched_pid res i in
-    if p < Array.length live then live.(p) <- t.live_tag
+    (* a pid beyond [pmask] is on no trie node *)
+    let p = Predicate_index.chunk_matched_pid res i in
+    if p < Array.length pmask then pmask.(p) <- Predicate_index.path_mask res p
   done;
   let live_roots = ref 0 in
   for i = 0 to m - 1 do
-    let r = root_node t (Predicate_index.matched_pid res i) in
+    let p = Predicate_index.chunk_matched_pid res i in
+    let r = root_node t p in
     if r >= 0 then begin
       incr live_roots;
-      if not (sticky && t.done_tag.(r) = doc_tag) then begin
-        t.filled <- 0;
-        ignore (ap_visit t res ~sticky ~doc_tag ~on_match r 0 : bool)
-      end
+      t.filled <- 0;
+      ignore (ap_visit t res ~doc_tag ~on_match r 0 pmask.(p) : bool)
     end
   done;
-  (* every root whose pid did not match was ruled out without a look *)
+  for i = 0 to m - 1 do
+    let p = Predicate_index.chunk_matched_pid res i in
+    if p < Array.length pmask then pmask.(p) <- 0
+  done;
+  (* every root whose pid matched on no path was ruled out without a look *)
   t.e_skips <- t.e_skips + t.n_roots - !live_roots;
   flush t ~steps0
 
-(* Shared: propagate the set of reachable chain endings down the trie. A
-   node is reachable with endings S iff a chain exists through the pids on
-   the root path ending with some o2 in S; its expressions match iff S is
-   non-empty. Sets are tiny (bounded by occurrence counts in one path), so
-   sorted int lists suffice. *)
-let eval_shared t res ~sticky ~doc_tag ~on_match =
+(* Shared: propagate the set of reachable chain endings down the trie,
+   one pass per path of the chunk. A node is reachable with endings S iff
+   a chain exists through the pids on the root path ending with some o2
+   in S; its expressions match iff S is non-empty. Sets are tiny (bounded
+   by occurrence counts in one path), so sorted int lists suffice. *)
+let shared_pass t res j ~doc_tag ~on_match =
   let rec visit n incoming =
-    match Predicate_index.get_packed res t.pid.(n) with
+    match Predicate_index.get_packed_on res t.pid.(n) j with
     | [] ->
       (* same pruning rule as the access-predicate variant *)
       t.e_skips <- t.e_skips + 1
@@ -545,8 +535,7 @@ let eval_shared t res ~sticky ~doc_tag ~on_match =
                pairs)
       in
       if reach <> [] then begin
-        if t.sids.(n) <> [] && not (sticky && t.mark.(n) = doc_tag) then
-          report t n ~sticky ~doc_tag ~on_match;
+        if t.sids.(n) <> [] && t.mark.(n) <> doc_tag then report t n ~doc_tag ~on_match;
         let kd = t.kid.(n) in
         for i = 0 to t.nkids.(n) - 1 do
           visit kd.(i) (Some reach)
@@ -554,20 +543,26 @@ let eval_shared t res ~sticky ~doc_tag ~on_match =
       end
   in
   let live_roots = ref 0 in
-  for i = 0 to Predicate_index.matched_count res - 1 do
-    let r = root_node t (Predicate_index.matched_pid res i) in
-    if r >= 0 then begin
+  for i = 0 to Predicate_index.chunk_matched_count res - 1 do
+    let p = Predicate_index.chunk_matched_pid res i in
+    let r = root_node t p in
+    if r >= 0 && Predicate_index.matched_on res p j then begin
       incr live_roots;
       visit r None
     end
   done;
-  t.e_skips <- t.e_skips + t.n_roots - !live_roots;
+  t.e_skips <- t.e_skips + t.n_roots - !live_roots
+
+let eval_shared t res ~doc_tag ~on_match =
+  for j = 0 to Predicate_index.chunk_paths res - 1 do
+    shared_pass t res j ~doc_tag ~on_match
+  done;
   (* no backtracking runs here: the step delta is 0 *)
   flush t ~steps0:(Occurrence.search_steps t.arena)
 
-let eval t res ~sticky ~doc_tag ~on_match =
+let eval t res ~doc_tag ~on_match =
   match t.variant with
   | Basic -> eval_basic t res ~on_match
-  | Prefix_covering -> eval_pc t res ~sticky ~doc_tag ~on_match
-  | Access_predicate -> eval_ap t res ~sticky ~doc_tag ~on_match
-  | Shared -> eval_shared t res ~sticky ~doc_tag ~on_match
+  | Prefix_covering -> eval_pc t res ~doc_tag ~on_match
+  | Access_predicate -> eval_ap t res ~doc_tag ~on_match
+  | Shared -> eval_shared t res ~doc_tag ~on_match

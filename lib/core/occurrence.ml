@@ -157,7 +157,7 @@ let push a packed =
 
 (* Append a whole candidate chain from a {!Predicate_index} cell store
    (cell [c] holds its packed pair at [cells.(2c)] and the previous cell's
-   index — or -1 — at [cells.(2c+1)]). A direct loop rather than
+   index at [cells.(2c+1)]; a negative index ends the chain). A direct loop rather than
    [Predicate_index.iter_pairs (push a)]: the partial application would
    allocate a closure per row, and filling rows is the innermost loop of
    every engine's fast path. *)

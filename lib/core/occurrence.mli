@@ -50,9 +50,10 @@ val push : arena -> int -> unit
 
 val push_chain : arena -> int array -> int -> unit
 (** [push_chain a cells c] appends every packed pair of the cell chain
-    starting at index [c] (-1 for none) into the current row. [cells] is
-    a {!Pf_core.Predicate_index.cells} store: cell [c] holds its packed
-    pair at [cells.(2c)] and the next cell index at [cells.(2c+1)].
+    starting at index [c] (negative for none) into the current row.
+    [cells] is a {!Pf_core.Predicate_index.cells} store: cell [c] holds
+    its packed pair at [cells.(2c)] and the next cell index at
+    [cells.(2c+1)]; a negative index ends the chain.
     Allocation-free, unlike folding a closure over the chain. *)
 
 val rows : arena -> int

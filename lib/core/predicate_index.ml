@@ -506,20 +506,36 @@ let packed_first p = p lsr pair_bits
 let packed_second p = p land ((1 lsl pair_bits) - 1)
 
 (* Result pairs live in a flat cell arena reused across documents: cell [c]
-   occupies slots [2c] (packed pair) and [2c+1] (index of the next cell of
-   the same pid, -1 at the end). One [run] resets the arena with a cursor
-   bump, so the steady state allocates nothing — no cons cell per pair, no
-   list boxing, and traversal walks contiguous memory. *)
+   occupies slots [2c] (packed pair) and [2c+1] (link). The arena holds a
+   {e chunk} of up to [chunk_capacity] paths: each path appends its cells,
+   so path [j]'s cells start at [path_cell.(j)], and a pid's cells on one
+   path form one chain, newest first, linked by cell index. The link of a
+   chain's last (oldest) cell is negative, so every chain walk stops
+   there: -1 if the pid recorded on no earlier path of the chunk, else
+   [-(h + 2)] where [h] heads its chain on the previous path it recorded
+   on. Cells are numbered by one counter that never restarts — the
+   chunk's cells are [cell0 ..], at arena index [n - cell0] — so
+   [heads.(pid)], the pid's newest cell, also says whether it recorded in
+   the chunk ([>= cell0]) and on the newest path ([>= newest]).
+   [mask.(pid)] holds the paths the pid recorded on. The
+   arena grows with what was recorded, never with pids × paths, and
+   [clear] resets it with a cursor bump, so the steady state allocates
+   nothing — no cons cell per pair, no list boxing, and traversal walks
+   contiguous memory. *)
 type results = {
-  mutable epoch : int;
-  mutable stamp : int array; (* pid -> epoch of last match *)
-  mutable heads : int array; (* pid -> newest cell index (valid iff stamped) *)
+  mutable heads : int array; (* pid -> number of its newest cell *)
+  mutable mask : int array; (* pid -> bit j set iff it recorded on path j (valid iff [heads >= cell0]) *)
   mutable cells : int array;
-  mutable n_cells : int; (* cells used this epoch *)
-  mutable matched : int; (* matched predicates this epoch *)
+  mutable n_cells : int; (* cells used this chunk *)
+  mutable cell0 : int; (* number of the chunk's first cell *)
+  mutable path_cell : int array; (* path j -> index of its first cell *)
+  mutable newest : int; (* number of the newest path's first cell *)
+  mutable paths : int; (* paths recorded in this chunk *)
+  mutable bit : int; (* [1 lsl (paths - 1)] *)
+  mutable matched : int; (* pids matched this chunk *)
   mutable mpids : int array;
-      (* the pids matched this epoch in first-match order: slots
-         [0 .. matched-1], appended when a pid is first stamped *)
+      (* the pids matched this chunk in first-match order: slots
+         [0 .. matched-1], appended when a pid first records in it *)
   mutable r_probes : int;
       (* [run]'s scratch counters — fields rather than refs so a run
          allocates nothing; flushed to the metrics once per run *)
@@ -537,13 +553,21 @@ type results = {
   mutable ra_stamp : int;
 }
 
+(* Paths per chunk: the expression walk carries a chunk's paths as a
+   bitmask in one int. 16 is the measured sweet spot (DESIGN.md 9.5). *)
+let chunk_capacity = 16
+
 let create_results () =
   {
-    epoch = 0;
-    stamp = [||];
     heads = [||];
+    mask = [||];
     cells = [||];
     n_cells = 0;
+    cell0 = 0;
+    path_cell = Array.make chunk_capacity 0;
+    newest = 0;
+    paths = 0;
+    bit = 0;
     matched = 0;
     mpids = [||];
     r_probes = 0;
@@ -556,52 +580,94 @@ let create_results () =
     ra_stamp = 0;
   }
 
+let grow_ints a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Pid-indexed arrays grow mid-chunk when predicates are interned between
+   two paths, so they keep their contents; a fresh pid's head -1 precedes
+   every chunk. *)
 let ensure_capacity res n =
-  if Array.length res.stamp < n then begin
-    let cap = max n (2 * Array.length res.stamp) in
-    let stamp = Array.make cap 0 and heads = Array.make cap (-1) in
-    Array.blit res.stamp 0 stamp 0 (Array.length res.stamp);
-    Array.blit res.heads 0 heads 0 (Array.length res.heads);
-    res.stamp <- stamp;
-    res.heads <- heads;
-    (* a pid is appended at most once per epoch: [cap] slots suffice *)
-    res.mpids <- Array.make cap 0
+  if Array.length res.heads < n then begin
+    let cap = max n (2 * Array.length res.heads) in
+    res.heads <- grow_ints res.heads cap (-1);
+    res.mask <- grow_ints res.mask cap 0;
+    (* a pid is appended at most once per chunk: [cap] slots suffice *)
+    res.mpids <- grow_ints res.mpids cap 0
   end
+
+let clear res =
+  res.cell0 <- res.cell0 + res.n_cells;
+  res.newest <- res.cell0;
+  res.n_cells <- 0;
+  res.paths <- 0;
+  res.matched <- 0
 
 let record res pid packed =
   let c = res.n_cells in
-  if 2 * c + 1 >= Array.length res.cells then begin
-    let bigger = Array.make (max 64 (2 * Array.length res.cells)) (-1) in
-    Array.blit res.cells 0 bigger 0 (Array.length res.cells);
-    res.cells <- bigger
-  end;
+  if 2 * c + 1 >= Array.length res.cells then
+    res.cells <- grow_ints res.cells (max 64 (2 * Array.length res.cells)) (-1);
   res.cells.(2 * c) <- packed;
-  if res.stamp.(pid) = res.epoch then res.cells.((2 * c) + 1) <- res.heads.(pid)
+  let h = res.heads.(pid) in
+  if h >= res.newest then
+    (* not the pid's first pair on this path: extend its chain *)
+    res.cells.((2 * c) + 1) <- h - res.cell0
+  else if h >= res.cell0 then begin
+    (* first pair on a later path: the chain ends in the earlier head *)
+    res.cells.((2 * c) + 1) <- -(h - res.cell0) - 2;
+    res.mask.(pid) <- res.mask.(pid) lor res.bit
+  end
   else begin
-    res.stamp.(pid) <- res.epoch;
     res.cells.((2 * c) + 1) <- -1;
+    res.mask.(pid) <- res.bit;
     res.mpids.(res.matched) <- pid;
     res.matched <- res.matched + 1
   end;
-  res.heads.(pid) <- c;
+  res.heads.(pid) <- res.cell0 + c;
   res.n_cells <- c + 1
 
-let is_matched res pid =
-  pid < Array.length res.stamp && res.stamp.(pid) = res.epoch
+let chunk_paths res = res.paths
 
-let head res pid = if is_matched res pid then res.heads.(pid) else -1
+let path_mask res pid =
+  if pid < Array.length res.heads && res.heads.(pid) >= res.cell0 then res.mask.(pid) else 0
+
+let matched_on res pid j = path_mask res pid land (1 lsl j) <> 0
+
+let head_on res pid j =
+  if not (matched_on res pid j) then -1
+  else begin
+    (* walk the pid's chains newest first, jumping from each chain's end
+       to the previous one: the first cell below path j+1 heads path j's
+       chain (there is one: bit j is set) *)
+    let stop = if j + 1 < res.paths then res.path_cell.(j + 1) else max_int in
+    let cells = res.cells in
+    let c = ref (res.heads.(pid) - res.cell0) in
+    while !c >= stop do
+      let next = cells.((2 * !c) + 1) in
+      c := if next >= 0 then next else -next - 2
+    done;
+    !c
+  end
+
+let is_matched res pid = pid < Array.length res.heads && res.heads.(pid) >= res.newest
+
+let head res pid = if is_matched res pid then res.heads.(pid) - res.cell0 else -1
 
 let cells res = res.cells
 
 let iter_pairs res pid f =
-  if is_matched res pid then begin
-    let cells = res.cells in
-    let c = ref res.heads.(pid) in
-    while !c >= 0 do
-      f cells.(2 * !c);
-      c := cells.((2 * !c) + 1)
-    done
-  end
+  let cells = res.cells in
+  let c = ref (head res pid) in
+  while !c >= 0 do
+    f cells.(2 * !c);
+    c := cells.((2 * !c) + 1)
+  done
+
+let get_packed_on res pid j =
+  let cells = res.cells in
+  let rec go c acc = if c < 0 then List.rev acc else go cells.((2 * c) + 1) (cells.(2 * c) :: acc) in
+  go (head_on res pid j) []
 
 let get_packed res pid =
   let acc = ref [] in
@@ -611,8 +677,15 @@ let get_packed res pid =
 let get res pid =
   List.map (fun p -> packed_first p, packed_second p) (get_packed res pid)
 
-let matched_count res = res.matched
-let matched_pid res i = res.mpids.(i)
+(* Counted on demand: no caller on the match path needs it. *)
+let matched_count res =
+  let n = ref 0 in
+  for i = 0 to res.matched - 1 do
+    if res.heads.(res.mpids.(i)) >= res.newest then incr n
+  done;
+  !n
+let chunk_matched_count res = res.matched
+let chunk_matched_pid res i = res.mpids.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Attribute resolution: once per tuple per run, allocation-free unless a
@@ -776,9 +849,11 @@ let visit_groups t xmask tb res first second ti tj packed g0 g1 =
    already reset the probe/hit scratch and ensured the image is fresh. *)
 let run_flat t res (pub : Publication.t) =
   ensure_capacity res (Vec.length t.preds);
-  res.epoch <- res.epoch + 1;
-  res.n_cells <- 0;
-  res.matched <- 0;
+  let j = res.paths in
+  res.newest <- res.cell0 + res.n_cells;
+  res.path_cell.(j) <- res.n_cells;
+  res.bit <- 1 lsl j;
+  res.paths <- j + 1;
   let fl = t.flat in
   let cmask = fl.cmask and xmask = fl.xmask in
   let l = pub.Publication.length in
@@ -890,10 +965,15 @@ let run_flat t res (pub : Publication.t) =
     end
   done
 
-let run t res pub =
+let run_next t res pub =
+  if res.paths >= chunk_capacity then invalid_arg "Predicate_index.run_next: chunk is full";
   if t.dirty then rebuild t;
   res.r_probes <- 0;
   res.r_hits <- 0;
   run_flat t res pub;
   Pf_obs.Counter.add t.m.probes res.r_probes;
   Pf_obs.Counter.add t.m.hits res.r_hits
+
+let run t res pub =
+  clear res;
+  run_next t res pub

@@ -3,11 +3,11 @@
    to a hashtable past 16 entries, and an access-predicate walk that tries
    every root on every publication. Kept as a test-only reference so the
    struct-of-arrays trie in {!Pf_core.Expr_index} can be checked against
-   it: same sid sets on every publication, and with [~sticky:false] the
-   same occurrence runs, backtracking steps, prefix-cover skips and
-   access skips. Under [~sticky:true] the flat trie skips subtrees that
-   have nothing left to report for the document, so only the per-document
-   sid sets are comparable there. The only changes from the historical
+   it: evaluated one path per walk under [~sticky:true] and the flat
+   trie's tags, the same sid sets on every publication and the same
+   occurrence runs, backtracking steps, prefix-cover skips and access
+   skips; and per document, the same sid set as the flat trie's walk over
+   chunks of the document's paths. The only changes from the historical
    code are the [open] below and the variant type, which re-exports the
    flat index's so one value selects both. *)
 

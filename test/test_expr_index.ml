@@ -21,8 +21,7 @@ let eval_all exprs tags =
       let e = Expr_index.create variant in
       List.iteri (fun sid pids -> Expr_index.add e ~sid ~pids) encoded;
       let matched = ref [] in
-      Expr_index.eval e res ~sticky:false ~doc_tag:0
-        ~on_match:(fun sid -> matched := sid :: !matched);
+      Expr_index.eval e res ~doc_tag:0 ~on_match:(fun sid -> matched := sid :: !matched);
       variant, List.sort compare !matched, Expr_index.occurrence_runs e)
     variants
 
@@ -70,8 +69,7 @@ let test_duplicates_share () =
   let res = Predicate_index.create_results () in
   Predicate_index.run idx res (Publication.of_tags [ "a"; "b" ]);
   let matched = ref [] in
-  Expr_index.eval e res ~sticky:false ~doc_tag:0
-        ~on_match:(fun sid -> matched := sid :: !matched);
+  Expr_index.eval e res ~doc_tag:0 ~on_match:(fun sid -> matched := sid :: !matched);
   Alcotest.(check (list int)) "all three sids" [ 0; 1; 2 ] (List.sort compare !matched);
   Alcotest.(check int) "one run serves all duplicates" 1 (Expr_index.occurrence_runs e)
 
@@ -129,21 +127,22 @@ let prop_variants_agree =
           let e = Expr_index.create variant in
           List.iteri (fun sid pids -> Expr_index.add e ~sid ~pids) encoded;
           let matched = ref [] in
-          Expr_index.eval e res ~sticky:false ~doc_tag:0
-        ~on_match:(fun sid -> matched := sid :: !matched);
+          Expr_index.eval e res ~doc_tag:0 ~on_match:(fun sid -> matched := sid :: !matched);
           List.sort compare !matched = truth)
         variants)
 
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence with the node-record trie (Pf_difftest.Expr_ref) over
-   random add/remove sequences interleaved with documents. Without
-   stickiness the flat trie must agree exactly: the same sids on every
-   path and the same occurrence runs, backtracking steps, prefix-cover
-   skips and access skips. With stickiness it skips subtrees that have
-   nothing left to report for the document, so access skips (and the
-   visits the reference does not count) differ, while the sids reported
-   on every path and the run, step and cover counts still agree. *)
+   random add/remove sequences interleaved with documents, one path per
+   walk, the reference under [~sticky:true] and the same tags: a fresh
+   tag per path, or one per document. The flat trie must agree exactly
+   either way: the same sids on every path and the same occurrence runs,
+   backtracking steps, prefix-cover skips and access skips. (The flat
+   trie always marks its reports, so the reference's unmarked
+   [~sticky:false] mode is no counterpart: it evaluates a node that sits
+   twice in a depth bucket, after losing its last sid and gaining a new
+   one, twice.) *)
 
 module Eref = Pf_difftest.Expr_ref
 
@@ -152,14 +151,14 @@ type op =
   | Remove of int  (* index into the sids added so far *)
   | Doc of string list list  (* a document: its paths' tags *)
 
-let op_gen =
+let op_gen ~max_paths =
   let open QCheck2.Gen in
   let path_tags = list_size (int_range 1 6) Gen_helpers.tag_gen in
   frequency
     [
       4, map (fun p -> Add p) Gen_helpers.single_path_gen;
       1, map (fun i -> Remove i) (int_range 0 63);
-      3, map (fun ps -> Doc ps) (list_size (int_range 1 4) path_tags);
+      3, map (fun ps -> Doc ps) (list_size (int_range 1 max_paths) path_tags);
     ]
 
 let op_print = function
@@ -177,23 +176,22 @@ let counts (m : Expr_index.metrics) =
 let ref_counts (m : Eref.metrics) =
   Pf_obs.Counter.(get m.runs, get m.steps, get m.cover_skips, get m.access_skips)
 
-(* Replay [ops] into a flat index and the reference for [variant]; every
-   path of a document is one publication, evaluated under the document's
-   tag. Returns false at the first path whose reported sids differ, or if
-   the counters differ at the end ([access_skips] only without
-   stickiness). *)
-let replay ~sticky variant ops =
+let collect eval =
+  let got = ref [] in
+  eval (fun sid -> got := sid :: !got);
+  List.sort compare !got
+
+(* Replay [ops] into a flat index and the reference for [variant]. Each
+   document goes through [doc flat oracle pidx ~doc_tag paths], which
+   returns false on a divergence; tags are 1000 apart, so [doc] may use
+   the ones in between. Returns whether everything agreed, trie shapes
+   included, with both metrics records. *)
+let replay variant ops ~doc =
   let pidx = Predicate_index.create () in
-  let res = Predicate_index.create_results () in
   let fm = Expr_index.make_metrics () and rm = Eref.make_metrics () in
   let flat = Expr_index.create ~metrics:fm variant in
   let oracle = Eref.create ~metrics:rm variant in
   let added = ref [||] and next_sid = ref 0 and tag = ref 0 in
-  let collect eval =
-    let got = ref [] in
-    eval (fun sid -> got := sid :: !got);
-    List.sort compare !got
-  in
   let step ok op =
     ok
     &&
@@ -212,70 +210,194 @@ let replay ~sticky variant ops =
       let sid, pids = !added.(i mod Array.length !added) in
       Expr_index.remove flat ~sid ~pids = Eref.remove oracle ~sid ~pids
     | Doc paths ->
-      incr tag;
-      let doc_tag = if sticky then !tag else 0 in
-      List.for_all
-        (fun tags ->
-          Predicate_index.run pidx res (Publication.of_tags tags);
-          collect (fun on_match -> Expr_index.eval flat res ~sticky ~doc_tag ~on_match)
-          = collect (fun on_match -> Eref.eval oracle res ~sticky ~doc_tag ~on_match))
-        paths
+      tag := !tag + 1000;
+      doc flat oracle pidx ~doc_tag:!tag paths
   in
-  List.fold_left step true ops
-  && Expr_index.expression_count flat = Eref.expression_count oracle
-  && Expr_index.node_count flat = Eref.node_count oracle
-  &&
-  let r, s, c, a = counts fm and r', s', c', a' = ref_counts rm in
-  r = r' && s = s' && c = c' && (sticky || a = a')
+  let ok =
+    List.fold_left step true ops
+    && Expr_index.expression_count flat = Eref.expression_count oracle
+    && Expr_index.node_count flat = Eref.node_count oracle
+  in
+  ok, fm, rm
 
-let prop_flat_agrees_with_ref ~sticky =
+(* One path per walk: the flat trie and the reference see the same
+   publication under the same tag, the document's or a fresh one per
+   path. *)
+let per_path_doc ~doc_tags flat oracle pidx ~doc_tag paths =
+  let res = Predicate_index.create_results () in
+  List.for_all Fun.id
+    (List.mapi
+       (fun j tags ->
+         let tag = if doc_tags then doc_tag else doc_tag + 1 + j in
+         Predicate_index.run pidx res (Publication.of_tags tags);
+         collect (fun on_match -> Expr_index.eval flat res ~doc_tag:tag ~on_match)
+         = collect (fun on_match -> Eref.eval oracle res ~sticky:true ~doc_tag:tag ~on_match))
+       paths)
+
+let prop_flat_agrees_with_ref ~doc_tags =
   let open QCheck2 in
   Test.make
     ~name:
-      (Printf.sprintf "flat trie = node-record reference (sticky:%b)" sticky)
+      (Printf.sprintf "flat trie = node-record reference (sticky, %s tags)"
+         (if doc_tags then "document" else "per-path"))
     ~count:400 ~print:ops_print
-    Gen.(list_size (int_range 1 40) op_gen)
-    (fun ops -> List.for_all (fun v -> replay ~sticky v ops) trie_variants)
+    Gen.(list_size (int_range 1 40) (op_gen ~max_paths:4))
+    (fun ops ->
+      List.for_all
+        (fun v ->
+          let ok, fm, rm = replay v ops ~doc:(per_path_doc ~doc_tags) in
+          ok && counts fm = ref_counts rm)
+        trie_variants)
+
+(* Walk [paths] in chunks of [Predicate_index.chunk_capacity], all under
+   [doc_tag]; returns the sids each walk reported, sorted, in walk
+   order. *)
+let chunk_walks e pidx res ~doc_tag paths =
+  let walks = ref [] in
+  let walk () =
+    walks := collect (fun on_match -> Expr_index.eval e res ~doc_tag ~on_match) :: !walks;
+    Predicate_index.clear res
+  in
+  Predicate_index.clear res;
+  List.iter
+    (fun tags ->
+      Predicate_index.run_next pidx res (Publication.of_tags tags);
+      if Predicate_index.chunk_paths res = Predicate_index.chunk_capacity then walk ())
+    paths;
+  if Predicate_index.chunk_paths res > 0 then walk ();
+  List.rev !walks
+
+(* The chunk walk must report, per document, exactly the sids the
+   reference reports evaluating the document path by path. *)
+let chunk_doc flat oracle pidx ~doc_tag paths =
+  let res = Predicate_index.create_results () in
+  let got =
+    List.sort_uniq compare (List.concat (chunk_walks flat pidx res ~doc_tag paths))
+  in
+  let want =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun tags ->
+           Predicate_index.run pidx res (Publication.of_tags tags);
+           collect (fun on_match -> Eref.eval oracle res ~sticky:true ~doc_tag ~on_match))
+         paths)
+  in
+  got = want
+
+let prop_chunk_walk_agrees_with_ref =
+  let open QCheck2 in
+  Test.make ~name:"chunk walk = per-path node-record reference" ~count:150
+    ~print:ops_print
+    Gen.(list_size (int_range 1 30) (op_gen ~max_paths:150))
+    (fun ops ->
+      List.for_all
+        (fun v ->
+          let ok, _, _ = replay v ops ~doc:chunk_doc in
+          ok)
+        variants)
 
 (* Encode [src] into pids of [idx], as [eval_all] does, for the pins below. *)
 let compile idx src =
   Array.map (Predicate_index.intern idx) (Encoder.encode_string src).Encoder.preds
 
-let eval_sticky e res ~doc_tag =
-  let got = ref [] in
-  Expr_index.eval e res ~sticky:true ~doc_tag ~on_match:(fun sid -> got := sid :: !got);
-  List.sort compare !got
+(* A document of [n] paths /a/p0 .. /a/p(n-1) and one expression per
+   path index in [only], each matching on its own path alone. Every
+   variant must report each in the walk of the chunk holding its path,
+   with one walk per chunk. *)
+let chunk_pin n only =
+  let c = Predicate_index.chunk_capacity in
+  let paths = List.init n (fun i -> [ "a"; Printf.sprintf "p%d" i ]) in
+  List.iter
+    (fun v ->
+      let m = Expr_index.make_metrics () in
+      let e = Expr_index.create ~metrics:m v in
+      let idx = Predicate_index.create () in
+      List.iteri
+        (fun sid i -> Expr_index.add e ~sid ~pids:(compile idx (Printf.sprintf "/a/p%d" i)))
+        only;
+      let res = Predicate_index.create_results () in
+      let walks = chunk_walks e idx res ~doc_tag:1 paths in
+      let name = Printf.sprintf "%s, %d paths" (Expr_index.variant_name v) n in
+      Alcotest.(check int) (name ^ ": walks") ((n + c - 1) / c) (List.length walks);
+      Alcotest.(check int) (name ^ ": expr_walks") (List.length walks)
+        (Pf_obs.Counter.get m.Expr_index.walks);
+      List.iteri
+        (fun sid i ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: path %d reported in walk %d" name i (i / c))
+            [ sid ]
+            (List.filter (( = ) sid) (List.nth walks (i / c))))
+        only)
+    variants
 
-(* A subtree done in one document is entered again once an expression is
-   added under it: in the next document, and even under the same tag. *)
-let test_done_subtree_reopened () =
-  let m = Expr_index.make_metrics () in
-  let e = Expr_index.create ~metrics:m Expr_index.Access_predicate in
+let test_chunk_boundaries () =
+  let c = Predicate_index.chunk_capacity in
+  List.iter (fun n -> chunk_pin n [ 0; n / 2; n - 1 ]) [ c; c + 1; (2 * c) + 1 ]
+
+(* A sid matching only on the last path of the second chunk. *)
+let test_last_path_of_second_chunk () =
+  let c = Predicate_index.chunk_capacity in
+  chunk_pin ((2 * c) + 1) [ (2 * c) - 1 ]
+
+(* /a/b's predicates match on path 0 but its chain does not (the b
+   follows the second a), and /a/b/c matches on path 1 only. In the
+   one-chunk walk /a/b's mask holds both paths, and it must be covered
+   through its descendant's match on path 1, the higher path, without a
+   run of its own; alone, it runs on path 0, fails, then matches on
+   path 1. *)
+let test_cover_from_higher_path () =
+  let paths = [ [ "a"; "x"; "a"; "b" ]; [ "a"; "b"; "c" ] ] in
+  let walk exprs =
+    let m = Expr_index.make_metrics () in
+    let e = Expr_index.create ~metrics:m Expr_index.Access_predicate in
+    let idx = Predicate_index.create () in
+    List.iteri (fun sid src -> Expr_index.add e ~sid ~pids:(compile idx src)) exprs;
+    let res = Predicate_index.create_results () in
+    let walks = chunk_walks e idx res ~doc_tag:1 paths in
+    walks, Pf_obs.Counter.(get m.Expr_index.runs, get m.Expr_index.cover_skips)
+  in
+  let walks, (runs, covers) = walk [ "/a/b"; "/a/b/c" ] in
+  Alcotest.(check (list (list int))) "both reported" [ [ 0; 1 ] ] walks;
+  Alcotest.(check int) "one run, at /a/b/c" 1 runs;
+  Alcotest.(check int) "/a/b covered" 1 covers;
+  let walks, (runs, covers) = walk [ "/a/b" ] in
+  Alcotest.(check (list (list int))) "alone, still reported" [ [ 0 ] ] walks;
+  Alcotest.(check int) "path 0 fails, path 1 matches" 2 runs;
+  Alcotest.(check int) "nothing to cover it" 0 covers
+
+let eval_tagged e res ~doc_tag =
+  collect (fun on_match -> Expr_index.eval e res ~doc_tag ~on_match)
+
+(* Expressions added between walks are seen under the same tag: a new
+   node under a reported prefix, and a new sid on a reported node (whose
+   other sids are then reported again). *)
+let test_add_between_walks () =
+  let e = Expr_index.create Expr_index.Access_predicate in
   let idx = Predicate_index.create () in
   let res = Predicate_index.create_results () in
   Expr_index.add e ~sid:0 ~pids:(compile idx "/a/b");
   let run tags ~doc_tag =
     Predicate_index.run idx res (Publication.of_tags tags);
-    eval_sticky e res ~doc_tag
+    eval_tagged e res ~doc_tag
   in
   Alcotest.(check (list int)) "doc 1, first path" [ 0 ] (run [ "a"; "b" ] ~doc_tag:1);
-  let v0 = Pf_obs.Counter.get m.Expr_index.visits in
   Alcotest.(check (list int)) "doc 1, repeated path" [] (run [ "a"; "b" ] ~doc_tag:1);
-  Alcotest.(check int) "done root not entered" v0 (Pf_obs.Counter.get m.Expr_index.visits);
   Expr_index.add e ~sid:1 ~pids:(compile idx "/a/b/c");
   Alcotest.(check (list int)) "doc 2 sees the new expression" [ 0; 1 ]
     (run [ "a"; "b"; "c" ] ~doc_tag:2);
-  Alcotest.(check (list int)) "doc 2 is done again" [] (run [ "a"; "b"; "c" ] ~doc_tag:2);
+  Alcotest.(check (list int)) "doc 2, repeated path" [] (run [ "a"; "b"; "c" ] ~doc_tag:2);
   Expr_index.add e ~sid:2 ~pids:(compile idx "/a/b/d");
-  Alcotest.(check (list int)) "an add under the same tag reopens the path" [ 2 ]
-    (run [ "a"; "b"; "d" ] ~doc_tag:2)
+  Alcotest.(check (list int)) "a new node under a reported prefix" [ 2 ]
+    (run [ "a"; "b"; "d" ] ~doc_tag:2);
+  Expr_index.add e ~sid:3 ~pids:(compile idx "/a/b");
+  Alcotest.(check (list int)) "a new sid on a reported node" [ 0; 3 ]
+    (run [ "a"; "b" ] ~doc_tag:2)
 
-(* A done subtree must read as "not matched" to its parent's covering
-   flag. Here the /a/b/c node lost its only sid, so it is done as soon
-   as it is entered, while /a/b's own chain fails on this path (the b
-   under the root a is not the b the second a leads to): a repeated path
-   must not report /a/b through covering. *)
-let test_done_child_does_not_cover () =
+(* A sid-less node passes up only what lies below it. Here the /a/b/c
+   node lost its only sid, while /a/b's own chain fails on this path
+   (the b under the root a is not the b the second a leads to): a chunk
+   of the path twice must not report /a/b through covering. *)
+let test_sidless_child_does_not_cover () =
   let e = Expr_index.create Expr_index.Access_predicate in
   let idx = Predicate_index.create () in
   let res = Predicate_index.create_results () in
@@ -283,9 +405,9 @@ let test_done_child_does_not_cover () =
   let abc = compile idx "/a/b/c" in
   Expr_index.add e ~sid:1 ~pids:abc;
   Alcotest.(check bool) "removed" true (Expr_index.remove e ~sid:1 ~pids:abc);
-  Predicate_index.run idx res (Publication.of_tags [ "a"; "x"; "a"; "b"; "c" ]);
-  Alcotest.(check (list int)) "first path" [] (eval_sticky e res ~doc_tag:1);
-  Alcotest.(check (list int)) "repeated path" [] (eval_sticky e res ~doc_tag:1)
+  let path = [ "a"; "x"; "a"; "b"; "c" ] in
+  Alcotest.(check (list (list int))) "two-path chunk" [ [] ]
+    (chunk_walks e idx res ~doc_tag:1 [ path; path ])
 
 (* The path-result cache computes each path's complete sid set under a
    tag of its own. A path that shares a done subtree with an earlier path
@@ -323,17 +445,22 @@ let () =
           Alcotest.test_case "duplicates share structure" `Quick test_duplicates_share;
           Alcotest.test_case "variant names" `Quick test_variant_names;
           Alcotest.test_case "empty pids rejected" `Quick test_empty_pids_rejected;
-          Alcotest.test_case "done subtree reopened by add" `Quick
-            test_done_subtree_reopened;
-          Alcotest.test_case "done child does not cover" `Quick
-            test_done_child_does_not_cover;
+          Alcotest.test_case "add between walks is seen" `Quick
+            test_add_between_walks;
+          Alcotest.test_case "sid-less child does not cover" `Quick
+            test_sidless_child_does_not_cover;
+          Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
+          Alcotest.test_case "last path of the second chunk" `Quick
+            test_last_path_of_second_chunk;
+          Alcotest.test_case "cover from a higher path" `Quick test_cover_from_higher_path;
           Alcotest.test_case "path-cache per-path tags" `Quick test_path_cache_tags;
         ] );
       ( "properties",
         List.map Gen_helpers.to_alcotest
           [
             prop_variants_agree;
-            prop_flat_agrees_with_ref ~sticky:false;
-            prop_flat_agrees_with_ref ~sticky:true;
+            prop_flat_agrees_with_ref ~doc_tags:false;
+            prop_flat_agrees_with_ref ~doc_tags:true;
+            prop_chunk_walk_agrees_with_ref;
           ] );
     ]

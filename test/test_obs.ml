@@ -577,6 +577,44 @@ let test_cross_engine_invariants () =
       Alcotest.(check bool) "runs bounded" true (runs <= paths * List.length qs))
     [ r_basic; r_ap ]
 
+(* The expression stage walks a chunk of up to [chunk_capacity] paths at
+   once on the default engine: a document of n paths adds ceil(n/C)
+   walks. Postponed attribute checks walk every path alone (n walks), and
+   the path cache walks every path it computes (one per miss). *)
+let test_expr_walks_law () =
+  let qs, docs = workload () in
+  let c = Pf_core.Predicate_index.chunk_capacity in
+  let check name ~walks_for e =
+    List.iter (fun q -> ignore (Pf_core.Engine.add e q)) qs;
+    let r = Pf_core.Engine.metrics e in
+    List.fold_left
+      (fun widest d ->
+        let w0 = counter_of r "expr_walks" and p0 = counter_of r "paths" in
+        let m0 = counter_of r "path_cache_misses" in
+        ignore (Pf_core.Engine.match_document e d : int list);
+        let n = counter_of r "paths" - p0 and misses = counter_of r "path_cache_misses" - m0 in
+        Alcotest.(check int)
+          (Printf.sprintf "%s: a document of %d paths" name n)
+          (walks_for ~n ~misses)
+          (counter_of r "expr_walks" - w0);
+        max widest n)
+      0 docs
+  in
+  let widest =
+    check "inline" ~walks_for:(fun ~n ~misses:_ -> (n + c - 1) / c) (Pf_core.Engine.create ())
+  in
+  Alcotest.(check bool) "some document spans chunks" true (widest > c);
+  ignore
+    (check "postponed"
+       ~walks_for:(fun ~n ~misses:_ -> n)
+       (Pf_core.Engine.create ~attr_mode:Pf_core.Engine.Postponed ())
+      : int);
+  ignore
+    (check "path cache"
+       ~walks_for:(fun ~n:_ ~misses -> misses)
+       (Pf_core.Engine.create ~path_cache:true ())
+      : int)
+
 let test_baseline_metrics () =
   let qs, docs = workload () in
   let single_path = List.filter Pf_xpath.Ast.is_single_path qs in
@@ -648,6 +686,7 @@ let () =
       ( "engines",
         [
           Alcotest.test_case "cross-engine invariants" `Quick test_cross_engine_invariants;
+          Alcotest.test_case "expression walks per document" `Quick test_expr_walks_law;
           Alcotest.test_case "baseline metrics" `Quick test_baseline_metrics;
         ] );
     ]

@@ -483,6 +483,88 @@ let prop_flat_agrees_on_hostile_attrs =
       && List.for_all (fun steps -> agree idx res rdx rres (pub_of_steps steps)) pubs
       && counters_agree m_new m_old)
 
+(* ------------------------------------------------------------------ *)
+(* Chunks: a chunk's view of each of its paths must equal a one-path run
+   of that path's publication, with predicates interned between two
+   paths of the chunk (growing the pid arrays mid-chunk). The newest-path
+   accessors must read the chunk's last path, and the chunk-level matched
+   pids and masks must be the union of the paths'. *)
+
+let sorted l = List.sort compare l
+
+let prop_chunk_paths_equal_single_runs =
+  let open QCheck2 in
+  Test.make ~name:"chunk path view = one-path run" ~count:300 ~print:equiv_print
+    Gen.(
+      triple
+        (list_size (int_range 1 5) cpred_gen)
+        (list_size (int_range 0 4) cpred_gen)
+        (list_size (int_range 1 4) Gen_helpers.doc_gen))
+    (fun (batch1, batch2, docs) ->
+      let idx = Predicate_index.create () in
+      List.iter (fun p -> ignore (Predicate_index.intern idx p : int)) batch1;
+      let pubs =
+        List.filteri (fun i _ -> i < Predicate_index.chunk_capacity) (pubs_of_docs docs)
+      in
+      let res = Predicate_index.create_results () in
+      let one = Predicate_index.create_results () in
+      Predicate_index.clear res;
+      let half = List.length pubs / 2 in
+      (* per path: (packed pairs of every pid, matched count) *)
+      let expected =
+        List.mapi
+          (fun j pub ->
+            if j = half then
+              List.iter (fun p -> ignore (Predicate_index.intern idx p : int)) batch2;
+            Predicate_index.run_next idx res pub;
+            Predicate_index.run idx one pub;
+            ( Array.init (Predicate_index.size idx) (Predicate_index.get_packed one),
+              Predicate_index.matched_count one ))
+          pubs
+      in
+      let n = Predicate_index.size idx in
+      let pairs_at (pairs, _) pid = if pid < Array.length pairs then pairs.(pid) else [] in
+      let last = List.nth expected (List.length expected - 1) in
+      Predicate_index.chunk_paths res = List.length pubs
+      && List.for_all
+           (fun pid ->
+             let mask = ref 0 in
+             List.iteri
+               (fun j e -> if pairs_at e pid <> [] then mask := !mask lor (1 lsl j))
+               expected;
+             Predicate_index.path_mask res pid = !mask
+             && Predicate_index.get_packed res pid = pairs_at last pid
+             && Predicate_index.is_matched res pid = (pairs_at last pid <> [])
+             && List.for_all Fun.id
+                  (List.mapi
+                     (fun j e ->
+                       Predicate_index.get_packed_on res pid j = pairs_at e pid
+                       && Predicate_index.matched_on res pid j = (pairs_at e pid <> []))
+                     expected))
+           (List.init n Fun.id)
+      && Predicate_index.matched_count res = snd last
+      && sorted
+           (List.init (Predicate_index.chunk_matched_count res)
+              (Predicate_index.chunk_matched_pid res))
+         = List.filter (fun pid -> Predicate_index.path_mask res pid <> 0) (List.init n Fun.id))
+
+let test_chunk_full () =
+  let idx = Predicate_index.create () in
+  let p = Predicate_index.intern idx (Predicate.Length { v = 1 }) in
+  let res = Predicate_index.create_results () in
+  Predicate_index.clear res;
+  for _ = 1 to Predicate_index.chunk_capacity do
+    Predicate_index.run_next idx res (Publication.of_tags [ "a" ])
+  done;
+  Alcotest.(check int) "matched on every path"
+    ((1 lsl Predicate_index.chunk_capacity) - 1)
+    (Predicate_index.path_mask res p);
+  (match Predicate_index.run_next idx res (Publication.of_tags [ "a" ]) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a full chunk must reject another path");
+  Predicate_index.run idx res (Publication.of_tags [ "a" ]);
+  Alcotest.(check int) "run starts a one-path chunk" 1 (Predicate_index.chunk_paths res)
+
 let () =
   Alcotest.run "predicate_index"
     [
@@ -506,6 +588,7 @@ let () =
           Alcotest.test_case "anchored attribute values" `Quick test_anchor_values;
           Alcotest.test_case "anchored duplicate attribute" `Quick test_anchor_duplicate_name;
           Alcotest.test_case "70,000-tag occurrence pairs" `Quick test_wide_occurrences;
+          Alcotest.test_case "full chunk" `Quick test_chunk_full;
         ] );
       ( "properties",
         List.map Gen_helpers.to_alcotest
@@ -513,5 +596,6 @@ let () =
             prop_matching_agrees_with_naive;
             prop_flat_agrees_with_listslot;
             prop_flat_agrees_on_hostile_attrs;
+            prop_chunk_paths_equal_single_runs;
           ] );
     ]
