@@ -486,7 +486,7 @@ let fig10 () =
           rows))
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: occurrence-run sharing (our extension) *)
+(* Ablation: occurrence determination runs per expression organization *)
 
 let ablation () =
   let count = if !full then 500_000 else 50_000 in
@@ -495,28 +495,19 @@ let ablation () =
       let dtd = dtd_of dtd_name in
       let docs = documents dtd_name (if !full then 200 else 20) in
       let qs = queries dtd count in
-      let run name variant dedup_paths =
-        let e = Pf_core.Engine.create ~variant ~dedup_paths () in
+      let run variant =
+        let e = Pf_core.Engine.create ~variant () in
         List.iter (fun q -> ignore (Pf_core.Engine.add e q)) qs;
         let (), ms =
           B.time_ms (fun () ->
               List.iter (fun d -> ignore (Pf_core.Engine.match_document e d)) docs)
         in
-        ( name,
+        ( Pf_core.Expr_index.variant_name variant,
           ms /. float (List.length docs),
           Pf_core.Engine.occurrence_runs e,
           Pf_obs.Export.registry_json (Pf_core.Engine.metrics e) )
       in
-      let rows =
-        List.map
-          (fun variant ->
-            run (Pf_core.Expr_index.variant_name variant) variant false)
-          Pf_core.Expr_index.[ Basic; Prefix_covering; Access_predicate; Shared ]
-        @ [
-            run "basic-pc-ap+dedup" Pf_core.Expr_index.Access_predicate true;
-            run "shared+dedup" Pf_core.Expr_index.Shared true;
-          ]
-      in
+      let rows = List.map run Pf_core.Expr_index.[ Basic; Prefix_covering; Access_predicate ] in
       Printf.printf "\n== ablation (%s, %d XPEs): occurrence determination runs ==\n"
         (String.uppercase_ascii dtd_name) (List.length qs);
       Printf.printf "%16s %14s %16s\n" "variant" "ms/doc" "occurrence runs";
@@ -1153,158 +1144,6 @@ let ingest_alloc () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Path-result cache (extension): DTD-driven streams repeat root-to-leaf
-   paths across documents, so the cross-document cache should convert
-   most per-path predicate+occurrence work into one hashtable probe. The
-   cache on/off sweep runs over the nitf and psd workloads; every
-   configuration's match sets are checked byte-identical against the
-   uncached sequential engine, including the cached engine behind both
-   Pf_service shard modes at 1/2/4 domains. *)
-
-let path_cache_exp () =
-  let timed_with_gc f =
-    let s0 = Gc.quick_stat () in
-    let (), ms = B.time_ms f in
-    let s1 = Gc.quick_stat () in
-    ms, s1.Gc.minor_words -. s0.Gc.minor_words, s1.Gc.major_words -. s0.Gc.major_words
-  in
-  let failed = ref false in
-  (* the service rows below exercise both shard modes *)
-  record "shard_mode" (J.String "doc+expr");
-  List.iter
-    (fun (dtd_name, count, ndocs) ->
-      let dtd = dtd_of dtd_name in
-      let qs = queries dtd count in
-      let docs = documents dtd_name ndocs in
-      let throughput ms = float ndocs /. (ms /. 1000.) in
-      (* uncached baseline: expected match sets + timing *)
-      let base = Pf_core.Engine.create () in
-      List.iter (fun q -> ignore (Pf_core.Engine.add base q)) qs;
-      let expected = List.map (Pf_core.Engine.match_document base) docs in
-      let base_ms, base_minor, base_major =
-        timed_with_gc (fun () ->
-            List.iter (fun d -> ignore (Pf_core.Engine.match_document base d)) docs)
-      in
-      (* cached engine: the identity check runs from a cold cache (misses
-         populate it), the timed pass then measures the warm steady state *)
-      let cached = Pf_core.Engine.create ~path_cache:true () in
-      List.iter (fun q -> ignore (Pf_core.Engine.add cached q)) qs;
-      let identical_cold =
-        List.map (Pf_core.Engine.match_document cached) docs = expected
-      in
-      let cache_ms, cache_minor, cache_major =
-        timed_with_gc (fun () ->
-            List.iter (fun d -> ignore (Pf_core.Engine.match_document cached d)) docs)
-      in
-      let counter name =
-        Option.value ~default:0
-          (Pf_obs.Registry.find_counter (Pf_core.Engine.metrics cached) name)
-      in
-      let hits = counter "path_cache_hits" and misses = counter "path_cache_misses" in
-      let hit_ratio =
-        if hits + misses = 0 then 0. else float hits /. float (hits + misses)
-      in
-      (* the cached engine behind the service: every shard mode and domain
-         count must still answer exactly like the sequential uncached
-         engine (replica caches are private; expression shards cache their
-         shard-local results) *)
-      let svc_rows =
-        List.concat_map
-          (fun mode ->
-            List.map
-              (fun domains ->
-                let svc =
-                  Pf_service.create ~mode ~domains ~batch:8
-                    (Pf_core.Engine.filter ~path_cache:true () :> Pf_intf.filter)
-                in
-                List.iter (fun q -> ignore (Pf_service.subscribe svc q)) qs;
-                let identical = Pf_service.filter_batch svc docs = expected in
-                let (), ms =
-                  B.time_ms (fun () -> ignore (Pf_service.filter_batch svc docs))
-                in
-                Pf_service.shutdown svc;
-                mode, domains, ms, identical)
-              [ 1; 2; 4 ])
-          [ Pf_service.Doc; Pf_service.Expr ]
-      in
-      Printf.printf
-        "\n== path-cache (%s): %d XPEs, %d documents ==\n"
-        (String.uppercase_ascii dtd_name)
-        (List.length qs) ndocs;
-      Printf.printf "%14s %12s %14s %14s %12s\n" "engine" "ms" "docs/s" "minor w/doc"
-        "identical";
-      Printf.printf "%14s %12.1f %14.0f %14.0f %12s\n" "uncached" base_ms
-        (throughput base_ms)
-        (base_minor /. float ndocs)
-        "-";
-      Printf.printf "%14s %12.1f %14.0f %14.0f %12b\n" "cached" cache_ms
-        (throughput cache_ms)
-        (cache_minor /. float ndocs)
-        identical_cold;
-      Printf.printf "   speedup %.2fx, hit ratio %.3f (%d hits / %d misses)\n"
-        (base_ms /. cache_ms) hit_ratio hits misses;
-      Printf.printf "%8s %8s %12s %14s %12s\n" "mode" "domains" "ms" "docs/s" "identical";
-      List.iter
-        (fun (mode, domains, ms, identical) ->
-          Printf.printf "%8s %8d %12.1f %14.0f %12b\n" (Pf_service.mode_name mode)
-            domains ms (throughput ms) identical)
-        svc_rows;
-      record (Printf.sprintf "%s" dtd_name)
-        (J.Obj
-           [
-             "xpes", J.Int (List.length qs);
-             "documents", J.Int ndocs;
-             ( "uncached",
-               J.Obj
-                 [
-                   "ms", J.Float base_ms;
-                   "docs_per_s", J.Float (throughput base_ms);
-                   "minor_words", J.Float base_minor;
-                   "major_words", J.Float base_major;
-                   "latency_ns", latency_json (Pf_core.Engine.metrics base) "doc_latency_ns";
-                 ] );
-             ( "cached",
-               J.Obj
-                 [
-                   "ms", J.Float cache_ms;
-                   "docs_per_s", J.Float (throughput cache_ms);
-                   "minor_words", J.Float cache_minor;
-                   "major_words", J.Float cache_major;
-                   "hits", J.Int hits;
-                   "misses", J.Int misses;
-                   "hit_ratio", J.Float hit_ratio;
-                   "invalidations", J.Int (counter "path_cache_invalidations");
-                   "identical_matches", J.Bool identical_cold;
-                   ( "latency_ns",
-                     latency_json (Pf_core.Engine.metrics cached) "doc_latency_ns" );
-                 ] );
-             "speedup_cached_vs_uncached", J.Float (base_ms /. cache_ms);
-             ( "service_rows",
-               J.List
-                 (List.map
-                    (fun (mode, domains, ms, identical) ->
-                      J.Obj
-                        [
-                          "mode", J.String (Pf_service.mode_name mode);
-                          "domains", J.Int domains;
-                          "ms", J.Float ms;
-                          "docs_per_s", J.Float (throughput ms);
-                          "identical_matches", J.Bool identical;
-                        ])
-                    svc_rows) );
-           ]);
-      if
-        (not identical_cold)
-        || List.exists (fun (_, _, _, identical) -> not identical) svc_rows
-      then failed := true)
-    (if !full then [ "nitf", 50_000, 300; "psd", 10_000, 300 ]
-     else [ "nitf", 10_000, 80; "psd", 3_000, 80 ]);
-  if !failed then begin
-    Printf.printf "path-cache: MATCH-SET MISMATCH against the uncached engine\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure, exercising
    the per-document kernel of the corresponding experiment. *)
 
@@ -1319,7 +1158,6 @@ let micro () =
   let nitf_doc = doc_of "nitf" and psd_doc = doc_of "psd" in
   let engine_nitf = mk_engine Pf_core.Expr_index.Access_predicate "nitf" 25_000 in
   let engine_psd = mk_engine Pf_core.Expr_index.Access_predicate "psd" 5_000 in
-  let engine_shared = mk_engine Pf_core.Expr_index.Shared "psd" 5_000 in
   let yf = B.yfilter () in
   build yf (queries (dtd_of "nitf") 25_000);
   let idxf = B.index_filter () in
@@ -1355,8 +1193,6 @@ let micro () =
         (Staged.stage (fun () -> Pf_core.Engine.match_document engine_psd psd_doc));
       Test.make ~name:"fig9:inline-attrs-nitf-25k"
         (Staged.stage (fun () -> Pf_core.Engine.match_document attr_engine nitf_doc));
-      Test.make ~name:"ablation:shared-psd-5k"
-        (Staged.stage (fun () -> Pf_core.Engine.match_document engine_shared psd_doc));
     ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~kde:None () in
@@ -1699,7 +1535,6 @@ let experiments =
     "occurrence-alloc", occurrence_alloc;
     "predicate-match", predicate_match;
     "ingest-alloc", ingest_alloc;
-    "path-cache", path_cache_exp;
     "subsumption", subsumption_exp;
     "net-broker", net_broker;
     "micro", micro;

@@ -87,8 +87,8 @@ let snapshot_every_arg =
 
 let engine_arg =
   let doc =
-    "Filtering engine (as in pf-filter): basic, basic-pc, basic-pc-ap, shared, \
-     yfilter or index-filter."
+    "Filtering engine (as in pf-filter): basic, basic-pc or basic-pc-ap (the \
+     predicate engine's expression organizations), yfilter or index-filter."
   in
   Arg.(value & opt string "basic-pc-ap" & info [ "e"; "engine" ] ~docv:"NAME" ~doc)
 

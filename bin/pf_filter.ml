@@ -20,16 +20,8 @@ let read_expressions path =
   in
   go [] 1
 
-let run engine_name shard_mode domains batch path_cache subsumption stream quiet
-    count_only metrics_fmt trace_srcs trace_out trace_slowest exprs_file docs =
-  let path_cache =
-    match path_cache with
-    | "on" -> true
-    | "off" -> false
-    | s ->
-      Printf.eprintf "bad --path-cache %S (try on or off)\n" s;
-      exit 2
-  in
+let run engine_name shard_mode domains batch subsumption stream quiet count_only
+    metrics_fmt trace_srcs trace_out trace_slowest exprs_file docs =
   let subsumption =
     match subsumption with
     | "on" -> true
@@ -38,11 +30,6 @@ let run engine_name shard_mode domains batch path_cache subsumption stream quiet
       Printf.eprintf "bad --subsumption %S (try on or off)\n" s;
       exit 2
   in
-  if path_cache && Pf_core.Expr_index.variant_of_name engine_name = None then begin
-    Printf.eprintf "--path-cache applies to the predicate-engine variants only, not %S\n"
-      engine_name;
-    exit 2
-  end;
   if stream && Pf_core.Expr_index.variant_of_name engine_name = None then begin
     Printf.eprintf "--stream applies to the predicate-engine variants only, not %S\n"
       engine_name;
@@ -102,7 +89,6 @@ let run engine_name shard_mode domains batch path_cache subsumption stream quiet
     (* stage timings are wanted whenever metrics are exported *)
     match
       Pf_bench.Bench_util.filter_of_name ~collect_stats:(metrics_fmt <> None)
-        ~path_cache
         ~stream:(if stream then Pf_core.Engine.Stream else Pf_core.Engine.Tree)
         engine_name
     with
@@ -229,7 +215,8 @@ let run engine_name shard_mode domains batch path_cache subsumption stream quiet
 
 let engine_arg =
   let doc =
-    "Filtering engine: basic, basic-pc, basic-pc-ap, shared, yfilter or \
+    "Filtering engine: basic, basic-pc or basic-pc-ap (the predicate engine's \
+     expression organizations of the paper, Section 4.2.2), yfilter or \
      index-filter."
   in
   Arg.(value & opt string "basic-pc-ap" & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
@@ -254,15 +241,6 @@ let domains_arg =
 let batch_arg =
   let doc = "Maximum documents a worker domain dequeues at once." in
   Arg.(value & opt int 8 & info [ "batch" ] ~docv:"B" ~doc)
-
-let path_cache_arg =
-  let doc =
-    "Cross-document path-result cache: $(b,on) memoizes each root-to-leaf \
-     path's matching expression set across documents (invalidated on \
-     subscribe/unsubscribe), $(b,off) (default) matches every path. \
-     Predicate-engine variants only. Each worker replica owns its cache."
-  in
-  Arg.(value & opt string "off" & info [ "path-cache" ] ~docv:"on|off" ~doc)
 
 let subsumption_arg =
   let doc =
@@ -310,7 +288,7 @@ let trace_out_arg =
   let doc =
     "Write a per-document trace to $(docv) in Chrome trace-event JSON \
      (load in Perfetto or chrome://tracing): one process row per document \
-     with parse/scan/path-cache/match/occurrence/merge/deliver spans, GC \
+     with parse/scan/match/occurrence/merge/deliver spans, GC \
      word deltas attached."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
@@ -339,7 +317,7 @@ let cmd =
   let info = Cmd.info "pf-filter" ~version:"1.0.0" ~doc in
   Cmd.v info
     Term.(
-      const run $ engine_arg $ shard_mode_arg $ domains_arg $ batch_arg $ path_cache_arg
+      const run $ engine_arg $ shard_mode_arg $ domains_arg $ batch_arg
       $ subsumption_arg $ stream_arg $ quiet_arg $ count_arg $ metrics_arg $ trace_arg
       $ trace_out_arg $ trace_slowest_arg $ exprs_arg $ docs_arg)
 

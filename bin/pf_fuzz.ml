@@ -151,8 +151,9 @@ let all_variants_arg =
     value & flag
     & info [ "all-variants" ]
         ~doc:
-          "Extend the roster with engine-pc, engine-shared-dedup and the streaming \
-           pipeline.")
+          "Extend the roster with engine-pc (prefix covering), engine-stream (SAX \
+           ingest), the service in both shard modes (tree and streaming replicas) \
+           and the subsumption index (alone and behind the service).")
 
 let save_arg =
   Arg.(

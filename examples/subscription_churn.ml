@@ -10,7 +10,7 @@
 
 let () =
   let dtd = Pf_workload.Dtd.nitf_like () in
-  let engine = Pf_core.Engine.create ~dedup_paths:true () in
+  let engine = Pf_core.Engine.create () in
   let rng = Random.State.make [| 2026 |] in
   (* initial population *)
   let initial =

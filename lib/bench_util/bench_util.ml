@@ -72,34 +72,27 @@ let of_filter ~name (filter : Pf_intf.filter) =
     metrics = F.metrics inst;
   }
 
-let filter_of_name ?collect_stats ?path_cache ?stream name : Pf_intf.filter option =
+let filter_of_name ?collect_stats ?stream name : Pf_intf.filter option =
   match Pf_core.Expr_index.variant_of_name name with
   | Some variant ->
-    Some
-      (Pf_core.Engine.filter ~variant ?collect_stats ?path_cache ?stream ()
-        :> Pf_intf.filter)
+    Some (Pf_core.Engine.filter ~variant ?collect_stats ?stream () :> Pf_intf.filter)
   | None -> (
-    (* the baselines have no path cache or streaming mode; callers
-       validating --path-cache / --stream check Expr_index.variant_of_name
-       before resolving *)
+    (* the baselines have no streaming mode; callers validating --stream
+       check Expr_index.variant_of_name before resolving *)
     match name with
     | "yfilter" -> Some (module Pf_yfilter.Yfilter)
     | "index-filter" -> Some (module Pf_indexfilter.Index_filter)
     | _ -> None)
 
 let predicate_engine ?(variant = Pf_core.Expr_index.Access_predicate)
-    ?(attr_mode = Pf_core.Engine.Inline) ?(path_cache = false) () =
+    ?(attr_mode = Pf_core.Engine.Inline) () =
   let name =
     let base = Pf_core.Expr_index.variant_name variant in
-    let base =
-      match attr_mode with
-      | Pf_core.Engine.Inline -> base
-      | Pf_core.Engine.Postponed -> base ^ "-sp"
-    in
-    if path_cache then base ^ "-cache" else base
+    match attr_mode with
+    | Pf_core.Engine.Inline -> base
+    | Pf_core.Engine.Postponed -> base ^ "-sp"
   in
-  of_filter ~name
-    (Pf_core.Engine.filter ~variant ~attr_mode ~path_cache () :> Pf_intf.filter)
+  of_filter ~name (Pf_core.Engine.filter ~variant ~attr_mode () :> Pf_intf.filter)
 
 let yfilter () = of_filter ~name:"yfilter" (module Pf_yfilter.Yfilter)
 let index_filter () = of_filter ~name:"index-filter" (module Pf_indexfilter.Index_filter)

@@ -46,25 +46,22 @@ val of_filter : name:string -> Pf_intf.filter -> algorithm
 
 val filter_of_name :
   ?collect_stats:bool ->
-  ?path_cache:bool ->
   ?stream:Pf_core.Engine.ingest ->
   string ->
   Pf_intf.filter option
 (** Resolve an engine name — a predicate-engine variant (basic, basic-pc,
-    basic-pc-ap, shared) or a baseline (yfilter, index-filter) — to its
-    {!Pf_intf.filter} module. [collect_stats], [path_cache] and [stream]
-    apply to predicate-engine variants only (the baselines ignore them;
-    validate with {!Pf_core.Expr_index.variant_of_name} if that
-    matters). *)
+    basic-pc-ap) or a baseline (yfilter, index-filter) — to its
+    {!Pf_intf.filter} module. [collect_stats] and [stream] apply to
+    predicate-engine variants only (the baselines ignore them; validate
+    with {!Pf_core.Expr_index.variant_of_name} if that matters). *)
 
 val predicate_engine :
   ?variant:Pf_core.Expr_index.variant ->
   ?attr_mode:Pf_core.Engine.attr_mode ->
-  ?path_cache:bool ->
   unit ->
   algorithm
 (** Fresh predicate engine; name reflects variant (and attribute mode when
-    [Postponed], and a [-cache] suffix with [path_cache:true]). *)
+    [Postponed]). *)
 
 val yfilter : unit -> algorithm
 val index_filter : unit -> algorithm

@@ -115,7 +115,7 @@ type t = {
   m : metrics;
 }
 
-let default_filter () = (Pf_core.Engine.filter ~dedup_paths:true () :> Pf_intf.filter)
+let default_filter () = (Pf_core.Engine.filter () :> Pf_intf.filter)
 
 let create_over ?(covering_suppression = true) port =
   {

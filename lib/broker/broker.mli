@@ -51,13 +51,13 @@ type t
 
     The engine is any {!Pf_intf.FILTER}, supplied as a first-class
     module; compose configuration with the engine's own builder, e.g.
-    [Broker.create ~filter:(Pf_core.Engine.filter ~stream:Stream
-    ~path_cache:true ()) ()]. *)
+    [Broker.create ~filter:(Pf_core.Engine.filter ~stream:Stream ()) ()]. *)
 
 val default_filter : unit -> Pf_intf.filter
-(** The predicate engine with duplicate-path elimination
-    ([Pf_core.Engine.filter ~dedup_paths:true ()]) — the engine a broker
-    runs when none is given. *)
+(** The predicate engine in its default configuration
+    ([Pf_core.Engine.filter ()]: basic-pc-ap, inline attribute filters,
+    tree ingest) — the engine a broker runs when none is given, and the
+    one [pf-broker] ships. *)
 
 val create : ?filter:Pf_intf.filter -> ?covering_suppression:bool -> unit -> t
 (** [filter] defaults to {!default_filter}; [covering_suppression]

@@ -7,12 +7,11 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type attr_mode = Inline | Postponed
 
 (* How documents reach the matching loop. [Tree] materializes the
-   document tree (the difftest oracle's mode); [Scan] extracts paths off
-   the SAX event stream and snapshots each into a fresh publication;
-   [Stream] is fully streaming — reusable publications are refilled
-   straight from the step stack at each leaf's end-tag event, so matching
-   a document allocates neither a tree nor per-path tuples. *)
-type ingest = Tree | Scan | Stream
+   document tree (the difftest oracle's mode); [Stream] is fully
+   streaming — reusable publications are refilled straight from the step
+   stack at each leaf's end-tag event, so matching a document allocates
+   neither a tree nor per-path tuples. *)
+type ingest = Tree | Stream
 
 (* Postponed attribute constraints for one expression: per predicate, the
    variable tag symbols and the constraints to check once a structural
@@ -47,17 +46,11 @@ type metrics = {
   registry : Pf_obs.Registry.t;
   paths : Pf_obs.Counter.t;
   documents : Pf_obs.Counter.t;
-  dedup_hits : Pf_obs.Counter.t;
-  cache_hits : Pf_obs.Counter.t;
-  cache_misses : Pf_obs.Counter.t;
-  cache_evictions : Pf_obs.Counter.t;
-  cache_invalidations : Pf_obs.Counter.t;
   stream_documents : Pf_obs.Counter.t;
   predicate_span : Pf_obs.Span.t;
   expr_span : Pf_obs.Span.t;
   collect_span : Pf_obs.Span.t;
   latency : Pf_obs.Qhist.t;
-  cache_entries : Pf_obs.Gauge.t;
   distinct_preds : Pf_obs.Gauge.t;
   pm : Predicate_index.metrics;
   em : Expr_index.metrics;
@@ -69,21 +62,6 @@ let make_metrics () =
     registry;
     paths = Pf_obs.Counter.make ~registry "paths" ~help:"document paths processed";
     documents = Pf_obs.Counter.make ~registry "documents" ~help:"documents processed";
-    dedup_hits =
-      Pf_obs.Counter.make ~registry "dedup_path_hits"
-        ~help:"tag-identical paths skipped by duplicate-path elimination";
-    cache_hits =
-      Pf_obs.Counter.make ~registry "path_cache_hits"
-        ~help:"paths answered from the cross-document path-result cache";
-    cache_misses =
-      Pf_obs.Counter.make ~registry "path_cache_misses"
-        ~help:"paths computed and inserted into the path-result cache";
-    cache_evictions =
-      Pf_obs.Counter.make ~registry "path_cache_evictions"
-        ~help:"path-result cache entries dropped by a capacity reset";
-    cache_invalidations =
-      Pf_obs.Counter.make ~registry "path_cache_invalidations"
-        ~help:"subscription epoch bumps invalidating the path-result cache";
     stream_documents =
       Pf_obs.Counter.make ~registry "stream_documents"
         ~help:"documents matched fully streaming (no tree, arena publications)";
@@ -99,9 +77,6 @@ let make_metrics () =
     latency =
       Pf_obs.Qhist.make ~registry "doc_latency_ns"
         ~help:"end-to-end per-document match latency, nanoseconds";
-    cache_entries =
-      Pf_obs.Gauge.make ~registry "path_cache_entries" ~merge:Pf_obs.Gauge.Sum
-        ~help:"live path-result cache entries";
     distinct_preds =
       (* Max: document-replicated workers hold identical predicate tables,
          so their merged value is the table size, not N times it *)
@@ -111,27 +86,10 @@ let make_metrics () =
     em = Expr_index.make_metrics ~registry ();
   }
 
-(* Cross-document path-result cache: the complete, sorted sid set the
-   predicate+occurrence stages produce for one publication, keyed by the
-   path's interned symbol sequence (plus its attribute tuples once any
-   registered expression carries attribute filters — see [cache_key]).
-   Entries are versioned by the subscription epoch: add/remove bump
-   [pc_epoch], and an entry stamped with an older epoch is recomputed on
-   next touch (lazy invalidation — nothing is swept eagerly). *)
-type cache_entry = { ce_epoch : int; ce_sids : int array }
-
-type path_cache = {
-  pc_table : (string, cache_entry) Hashtbl.t;
-  pc_capacity : int;  (* live entries before a wholesale reset *)
-  mutable pc_epoch : int;  (* subscription epoch *)
-  pc_key : Buffer.t;  (* reusable key scratch *)
-}
-
 type t = {
   variant : Expr_index.variant;
   attr_mode : attr_mode;
   collect_stats : bool;
-  dedup_paths : bool;
   pidx : Predicate_index.t;
   results : Predicate_index.results;
   eidx : Expr_index.t;
@@ -147,31 +105,19 @@ type t = {
          on_match callback fires *)
   m : metrics;
   mutable sid_stamp : int array;
-  mutable doc_stamp : int array;
-      (* cached-mode document-level accumulation marks; separate from
-         [sid_stamp], which cached mode repurposes for per-path result
-         computation (see [match_iter]) *)
   mutable doc_epoch : int;
-  mutable constrained : bool;
-      (* some expression carries attribute filters: publications are then
-         attribute-sensitive and duplicate-path elimination must not apply *)
-  seen_paths : (string, unit) Hashtbl.t;  (* per-document duplicate-path filter *)
-  cache : path_cache option;
-  scanner : Pf_xml.Path.scanner;
-      (* reused by match_scan/match_stream across documents *)
+  scanner : Pf_xml.Path.scanner;  (* reused by match_stream across documents *)
   pub_arena : Publication.arena;  (* reused by match_stream across documents *)
 }
 
 let create ?(variant = Expr_index.Access_predicate) ?(attr_mode = Inline)
-    ?(collect_stats = false) ?(dedup_paths = false) ?(path_cache = false)
-    ?(path_cache_capacity = 65536) () =
+    ?(collect_stats = false) () =
   let m = make_metrics () in
   let pidx = Predicate_index.create ~metrics:m.pm () in
   {
     variant;
     attr_mode;
     collect_stats;
-    dedup_paths;
     pidx;
     results = Predicate_index.create_results ();
     eidx = Expr_index.create ~metrics:m.em variant;
@@ -184,20 +130,7 @@ let create ?(variant = Expr_index.Access_predicate) ?(attr_mode = Inline)
     chains = Occurrence.create_arena ();
     m;
     sid_stamp = [||];
-    doc_stamp = [||];
     doc_epoch = 0;
-    constrained = false;
-    seen_paths = Hashtbl.create 64;
-    cache =
-      (if path_cache then
-         Some
-           {
-             pc_table = Hashtbl.create 1024;
-             pc_capacity = max 1 path_cache_capacity;
-             pc_epoch = 0;
-             pc_key = Buffer.create 128;
-           }
-       else None);
     scanner = Pf_xml.Path.create_scanner ();
     pub_arena = Publication.create_arena ();
   }
@@ -205,15 +138,6 @@ let create ?(variant = Expr_index.Access_predicate) ?(attr_mode = Inline)
 let variant t = t.variant
 let attr_mode t = t.attr_mode
 let metrics t = t.m.registry
-let path_cache_enabled t = t.cache <> None
-
-(* Any successful subscription change makes every cached entry stale. *)
-let bump_cache_epoch t =
-  match t.cache with
-  | None -> ()
-  | Some c ->
-    c.pc_epoch <- c.pc_epoch + 1;
-    Pf_obs.Counter.incr t.m.cache_invalidations
 
 (* Compatibility view over the registry: a fresh record per call, with the
    same fields the old mutable [stats] had. *)
@@ -301,9 +225,7 @@ let add t (p : Ast.path) =
   (match info.kind with
   | Single { post = None; _ } -> Bytes.set t.plain sid '\001'
   | Single { post = Some _; _ } | Nested_expr -> ());
-  if Ast.has_attr_filters p then t.constrained <- true;
   Pf_obs.Gauge.set t.m.distinct_preds (float_of_int (Predicate_index.size t.pidx));
-  bump_cache_epoch t;
   Log.debug (fun m -> m "registered sid %d: %s" sid (Parser.to_string p));
   sid
 
@@ -322,8 +244,7 @@ let remove t sid =
       in
       if removed then begin
         info.active <- false;
-        Bytes.set t.plain sid '\000';
-        bump_cache_epoch t
+        Bytes.set t.plain sid '\000'
       end;
       removed
     end
@@ -337,11 +258,6 @@ let ensure_stamp t =
     let bigger = Array.make (max n (2 * Array.length t.sid_stamp)) 0 in
     Array.blit t.sid_stamp 0 bigger 0 (Array.length t.sid_stamp);
     t.sid_stamp <- bigger
-  end;
-  if t.cache <> None && Array.length t.doc_stamp < n then begin
-    let bigger = Array.make (max n (2 * Array.length t.doc_stamp)) 0 in
-    Array.blit t.doc_stamp 0 bigger 0 (Array.length t.doc_stamp);
-    t.doc_stamp <- bigger
   end
 
 (* Check an expression's postponed attribute constraints against one
@@ -396,50 +312,12 @@ let accepts t sid pub =
   | Single { post = None; _ } -> true
   | Nested_expr -> assert false
 
-(* Cache key for one publication. The symbol sequence is length-prefixed
-   and fixed-width, and every attribute name/value is length-prefixed, so
-   the encoding is injective: equal keys imply an identical symbol
-   sequence (which determines the occurrence numbers — they are a running
-   count over it) and, when attributes participate, identical attribute
-   tuples. Attributes are included exactly when some registered
-   expression carries attribute filters ([t.constrained]) — in both
-   Inline and Postponed modes the per-path result then depends on them;
-   with only structural expressions it cannot. Structure tuples (child
-   indices) never key: only nested expressions consult them, and nested
-   expressions disable the cache entirely (their matches need
-   whole-document state, not per-path sets). The key copies every byte it
-   needs, so an arena-backed publication may be overwritten afterwards
-   without invalidating cached entries. *)
-let cache_key t c (pub : Publication.t) =
-  let buf = c.pc_key in
-  Buffer.clear buf;
-  let tuples = pub.Publication.tuples in
-  Buffer.add_int32_le buf (Int32.of_int pub.Publication.length);
-  Array.iter
-    (fun (tu : Publication.tuple) ->
-      Buffer.add_int32_le buf (Int32.of_int tu.Publication.tag))
-    tuples;
-  if t.constrained then
-    Array.iter
-      (fun (tu : Publication.tuple) ->
-        Buffer.add_int32_le buf (Int32.of_int (List.length tu.Publication.attrs));
-        List.iter
-          (fun (n, v) ->
-            Buffer.add_int32_le buf (Int32.of_int (String.length n));
-            Buffer.add_string buf n;
-            Buffer.add_int32_le buf (Int32.of_int (String.length v));
-            Buffer.add_string buf v)
-          tu.Publication.attrs)
-      tuples;
-  Buffer.contents buf
-
 (* Core per-document matching loop; [iter_pubs] drives the document's
    root-to-leaf publications through it — materialized from a tree, or
-   streamed off a SAX parse (snapshotted or arena-refilled). A streamed
-   publication only needs to stay valid while its own callback runs:
-   everything below either finishes with the publication before
-   returning or copies the bytes it keeps (dedup keys, cache keys and
-   entries, match sets). *)
+   refilled in place off a SAX parse. A streamed publication only needs
+   to stay valid while its own callback runs: everything below either
+   finishes with the publication before returning or copies what it keeps
+   (the predicate stage's pairs, the match set). *)
 let empty_pub = Publication.of_tags []
 
 let match_iter t iter_pubs =
@@ -460,39 +338,11 @@ let match_iter t iter_pubs =
   let timed = t.collect_stats in
   let nested_active = not (Nested.is_empty t.nested) in
   if nested_active then Nested.begin_document t.nested;
-  (* nested expressions need whole-document structure state; per-path
-     caching is unsound for them, so their presence bypasses the cache *)
-  let cache = if nested_active then None else t.cache in
-  (* Sibling subtrees yield literally identical publications (occurrence
-     numbers are per path), so a tag-identical path cannot change the match
-     set and is skipped — unless attributes matter (constrained
-     expressions) or per-path structure tuples do (nested expressions). *)
-  let dedup = t.dedup_paths && (not t.constrained) && not nested_active in
-  if dedup then Hashtbl.reset t.seen_paths;
-  let fresh_pub (pub : Publication.t) =
-    (not dedup)
-    ||
-    (* fixed-width symbol encoding: injective, no string contents *)
-    let buf = Buffer.create 64 in
-    Array.iter
-      (fun (tu : Publication.tuple) ->
-        Buffer.add_int32_le buf (Int32.of_int tu.Publication.tag))
-      pub.Publication.tuples;
-    let key = Buffer.contents buf in
-    if Hashtbl.mem t.seen_paths key then begin
-      Pf_obs.Counter.incr t.m.dedup_hits;
-      false
-    end
-    else begin
-      Hashtbl.add t.seen_paths key ();
-      true
-    end
-  in
-  (* The publication the uncached [on_match] below consults for postponed
-     attribute checks. A mutable slot (written by [process_uncached])
-     rather than a captured argument, so [on_match] is one closure per
-     document instead of one per path — on the streaming path, per-path
-     closures were the residual allocation after the arenas. *)
+  (* The publication [on_match] below consults for postponed attribute
+     checks. A mutable slot (written by [process]) rather than a captured
+     argument, so [on_match] is one closure per document instead of one
+     per path — on the streaming path, per-path closures were the
+     residual allocation after the arenas. *)
   let cur_pub = ref empty_pub in
   let on_match sid = if t.sid_stamp.(sid) <> doc_id && accepts t sid !cur_pub then mark sid in
   (* Inline matches are accepted unconditionally, so the predicate stage
@@ -518,95 +368,29 @@ let match_iter t iter_pubs =
     else Expr_index.eval t.eidx t.results ~doc_tag ~on_match;
     Predicate_index.clear t.results
   in
-  let process_uncached pub =
-      Pf_obs.Counter.incr t.m.paths;
-      cur_pub := pub;
-      let t0 = if timed then Pf_obs.Span.now () else 0L in
-      if traced then
-        Pf_obs.Trace.with_span "match" (fun () ->
-            Predicate_index.run_next t.pidx t.results pub)
-      else Predicate_index.run_next t.pidx t.results pub;
-      let t1 = if timed then Pf_obs.Span.now () else 0L in
-      if nested_active then Nested.observe_path t.nested t.results pub;
-      if
-        (not chunked)
-        || Predicate_index.chunk_paths t.results = Predicate_index.chunk_capacity
-      then walk ();
-      if timed then begin
-        let t2 = Pf_obs.Span.now () in
-        Pf_obs.Span.add t.m.predicate_span (Int64.sub t1 t0);
-        Pf_obs.Span.add t.m.expr_span (Int64.sub t2 t1)
-      end
-  in
-  (* Document-level accumulation in cached mode. [sid_stamp] is reused by
-     the per-path computation under per-path tags, so the document marks
-     need their own array; [doc_id] values come from the same monotonic
-     clock, so a stale stamp can never alias the current document. *)
-  let mark_doc sid =
-    if t.doc_stamp.(sid) <> doc_id then begin
-      t.doc_stamp.(sid) <- doc_id;
-      acc := sid :: !acc
+  let process pub =
+    Pf_obs.Counter.incr t.m.paths;
+    cur_pub := pub;
+    let t0 = if timed then Pf_obs.Span.now () else 0L in
+    if traced then
+      Pf_obs.Trace.with_span "match" (fun () ->
+          Predicate_index.run_next t.pidx t.results pub)
+    else Predicate_index.run_next t.pidx t.results pub;
+    let t1 = if timed then Pf_obs.Span.now () else 0L in
+    if nested_active then Nested.observe_path t.nested t.results pub;
+    if
+      (not chunked)
+      || Predicate_index.chunk_paths t.results = Predicate_index.chunk_capacity
+    then walk ();
+    if timed then begin
+      let t2 = Pf_obs.Span.now () in
+      Pf_obs.Span.add t.m.predicate_span (Int64.sub t1 t0);
+      Pf_obs.Span.add t.m.expr_span (Int64.sub t2 t1)
     end
   in
-  let process_cached c pub =
-    Pf_obs.Counter.incr t.m.paths;
-    let lookup () =
-      let key = cache_key t c pub in
-      key, Hashtbl.find_opt c.pc_table key
-    in
-    let key, found =
-      if traced then Pf_obs.Trace.with_span "path-cache" lookup else lookup ()
-    in
-    match found with
-    | Some e when e.ce_epoch = c.pc_epoch ->
-      Pf_obs.Counter.incr t.m.cache_hits;
-      Array.iter mark_doc e.ce_sids
-    | prior ->
-      Pf_obs.Counter.incr t.m.cache_misses;
-      let t0 = if timed then Pf_obs.Span.now () else 0L in
-      if traced then
-        Pf_obs.Trace.with_span "match" (fun () ->
-            Predicate_index.run t.pidx t.results pub)
-      else Predicate_index.run t.pidx t.results pub;
-      let t1 = if timed then Pf_obs.Span.now () else 0L in
-      (* compute the *complete* per-path sid set under a fresh clock tick:
-         the cached value must not be truncated by what already matched
-         this document, and the expression index's report marks scope to
-         the path, which is exactly what makes the entry reusable *)
-      t.doc_epoch <- t.doc_epoch + 1;
-      let ptag = t.doc_epoch in
-      let matched = ref [] in
-      let hit sid =
-        t.sid_stamp.(sid) <- ptag;
-        matched := sid :: !matched
-      in
-      let on_match sid = if t.sid_stamp.(sid) <> ptag && accepts t sid pub then hit sid in
-      let eval () = Expr_index.eval t.eidx t.results ~doc_tag:ptag ~on_match in
-      if traced then Pf_obs.Trace.with_span "occurrence" eval else eval ();
-      if timed then begin
-        let t2 = Pf_obs.Span.now () in
-        Pf_obs.Span.add t.m.predicate_span (Int64.sub t1 t0);
-        Pf_obs.Span.add t.m.expr_span (Int64.sub t2 t1)
-      end;
-      let sids = Array.of_list (List.sort compare !matched) in
-      if prior = None && Hashtbl.length c.pc_table >= c.pc_capacity then begin
-        (* capacity: drop everything rather than track recency — resets
-           are rare and the next documents repopulate the working set *)
-        Pf_obs.Counter.add t.m.cache_evictions (Hashtbl.length c.pc_table);
-        Hashtbl.reset c.pc_table
-      end;
-      Hashtbl.replace c.pc_table key { ce_epoch = c.pc_epoch; ce_sids = sids };
-      Pf_obs.Gauge.set t.m.cache_entries (float_of_int (Hashtbl.length c.pc_table));
-      Array.iter mark_doc sids
-  in
-  iter_pubs
-    (fun pub ->
-      if fresh_pub pub then
-        match cache with
-        | None -> process_uncached pub
-        | Some c -> process_cached c pub);
+  iter_pubs process;
   (* the document's last, partial chunk *)
-  if cache = None && Predicate_index.chunk_paths t.results > 0 then begin
+  if Predicate_index.chunk_paths t.results > 0 then begin
     let t1 = if timed then Pf_obs.Span.now () else 0L in
     walk ();
     if timed then Pf_obs.Span.add t.m.expr_span (Int64.sub (Pf_obs.Span.now ()) t1)
@@ -632,13 +416,6 @@ let match_document t doc =
   match_paths t (Pf_obs.Trace.with_span "scan" (fun () -> Pf_xml.Path.of_document doc))
 
 let match_string t s = match_document t (Pf_xml.Sax.parse_document s)
-
-let match_scan t src =
-  (* zero-copy path extraction: the engine-owned scanner is reused across
-     documents and each emitted path is snapshotted into a fresh
-     publication — no tree, but still one allocation per path *)
-  match_iter t (fun f ->
-      Pf_xml.Path.scan t.scanner src ~f:(fun p -> f (Publication.of_path p)))
 
 let match_stream t src =
   (* fully streaming: the step stack from [Path.stream] refills the
@@ -730,32 +507,28 @@ let match_path t path =
 (* ------------------------------------------------------------------ *)
 (* The unified engine signature (Pf_intf.FILTER) *)
 
-let filter ?variant ?attr_mode ?collect_stats ?dedup_paths ?path_cache
-    ?path_cache_capacity ?(stream = Tree) () : (module Pf_intf.FILTER with type t = t) =
+let filter ?variant ?attr_mode ?collect_stats ?(stream = Tree) () :
+    (module Pf_intf.FILTER with type t = t) =
   (module struct
     type nonrec t = t
 
-    let create () =
-      create ?variant ?attr_mode ?collect_stats ?dedup_paths ?path_cache
-        ?path_cache_capacity ()
+    let create () = create ?variant ?attr_mode ?collect_stats ()
     let add = add
     let add_string = add_string
     let remove = remove
 
-    (* [Scan] and [Stream] route matching through the SAX pipeline: the
-       document is serialized and re-matched from the event stream without
-       ever materializing the tree on the matching side ([Stream]
-       additionally refills arena publications instead of snapshotting). *)
+    (* [Stream] routes matching through the SAX pipeline: the document is
+       serialized and re-matched from the event stream, refilling arena
+       publications, without ever materializing the tree on the matching
+       side. *)
     let match_document =
       match stream with
       | Tree -> match_document
-      | Scan -> fun t doc -> match_scan t (Pf_xml.Print.to_string ~decl:false doc)
       | Stream -> fun t doc -> match_stream t (Pf_xml.Print.to_string ~decl:false doc)
 
     let match_string =
       match stream with
       | Tree -> match_string
-      | Scan -> match_scan
       | Stream -> match_stream
 
     let metrics = metrics
@@ -767,11 +540,10 @@ module Filter = (val filter ())
    (logical sids over a private shape table) cannot satisfy — so the
    subsumed variant is a separate constructor returning a plain
    [Pf_intf.filter]. *)
-let filter_subsumed ?variant ?attr_mode ?collect_stats ?dedup_paths ?path_cache
-    ?path_cache_capacity ?stream ?(subsumption = true) () : Pf_intf.filter =
+let filter_subsumed ?variant ?attr_mode ?collect_stats ?stream ?(subsumption = true) () :
+    Pf_intf.filter =
   let base =
-    (filter ?variant ?attr_mode ?collect_stats ?dedup_paths ?path_cache
-       ?path_cache_capacity ?stream ()
+    (filter ?variant ?attr_mode ?collect_stats ?stream ()
       : (module Pf_intf.FILTER with type t = t)
       :> Pf_intf.filter)
   in

@@ -29,9 +29,6 @@ type ingest =
   | Tree
       (** materialize the document tree, then extract all paths — the
           difftest oracle's mode *)
-  | Scan
-      (** extract paths off the SAX event stream and snapshot each into a
-          fresh publication (no tree; one allocation per path) *)
   | Stream
       (** fully streaming: arena publications are refilled in place
           straight from the step stack at each leaf's end-tag event, so
@@ -43,45 +40,13 @@ val create :
   ?variant:Expr_index.variant ->
   ?attr_mode:attr_mode ->
   ?collect_stats:bool ->
-  ?dedup_paths:bool ->
-  ?path_cache:bool ->
-  ?path_cache_capacity:int ->
   unit ->
   t
 (** Defaults: [variant = Access_predicate] (the paper's best variant,
-    "basic-pc-ap"), [attr_mode = Inline], [collect_stats = false],
-    [dedup_paths = false], [path_cache = false],
-    [path_cache_capacity = 65536].
-
-    [dedup_paths] is an extension beyond the paper: sibling subtrees
-    produce literally identical publications (occurrence numbers are
-    per-path), so tag-identical paths of one document can be matched once.
-    The optimization is sound only while no registered expression carries
-    attribute filters and none is nested (it disables itself otherwise)
-    and speeds up repetitive documents severalfold — see the [ablation]
-    benchmark. Off by default to keep the default engine the paper's
-    algorithm.
-
-    [path_cache] enables the cross-document path-result cache: the
-    complete sorted sid set the predicate+occurrence stages produce for a
-    root-to-leaf path is memoized under the path's interned symbol
-    sequence (plus its attribute tuples once any registered expression
-    carries attribute filters), so DTD-driven streams that repeat paths
-    across documents skip both stages on a hit. Entries are versioned by
-    the subscription epoch — every successful {!add}/{!remove} lazily
-    invalidates the whole cache — and results are always identical to the
-    uncached engine. Nested path expressions need whole-document state;
-    while any is registered, matching bypasses the cache. At
-    [path_cache_capacity] entries the cache is reset wholesale. Hits,
-    misses, evictions and invalidations are exported as
-    [path_cache_hits]/[path_cache_misses]/[path_cache_evictions]/
-    [path_cache_invalidations] counters in the engine registry. *)
+    "basic-pc-ap"), [attr_mode = Inline], [collect_stats = false]. *)
 
 val variant : t -> Expr_index.variant
 val attr_mode : t -> attr_mode
-
-val path_cache_enabled : t -> bool
-(** True iff the engine was created with [path_cache:true]. *)
 
 (** {1 The unified engine signature} *)
 
@@ -89,19 +54,16 @@ val filter :
   ?variant:Expr_index.variant ->
   ?attr_mode:attr_mode ->
   ?collect_stats:bool ->
-  ?dedup_paths:bool ->
-  ?path_cache:bool ->
-  ?path_cache_capacity:int ->
   ?stream:ingest ->
   unit ->
   (module Pf_intf.FILTER with type t = t)
 (** A first-class {!Pf_intf.FILTER} whose [create] builds engines with the
     given configuration (defaults as {!create}; [stream] defaults to
-    {!Tree}). With [stream:Scan] the module matches through {!match_scan}
-    and with [stream:Stream] through {!match_stream} — documents are
-    serialized and consumed as SAX events, never materialized on the
-    matching side. Generic layers ({!Pf_service}, the difftest roster,
-    the benchmark harness) consume engines through this signature. *)
+    {!Tree}). With [stream:Stream] the module matches through
+    {!match_stream} — documents are serialized and consumed as SAX events,
+    never materialized on the matching side. Generic layers
+    ({!Pf_service}, the difftest roster, the benchmark harness) consume
+    engines through this signature. *)
 
 module Filter : Pf_intf.FILTER with type t = t
 (** [filter ()] applied: the default configuration as a named module. *)
@@ -110,9 +72,6 @@ val filter_subsumed :
   ?variant:Expr_index.variant ->
   ?attr_mode:attr_mode ->
   ?collect_stats:bool ->
-  ?dedup_paths:bool ->
-  ?path_cache:bool ->
-  ?path_cache_capacity:int ->
   ?stream:ingest ->
   ?subsumption:bool ->
   unit ->
@@ -160,19 +119,14 @@ val match_string : t -> string -> int list
 (** Parse the XML (raises {!Pf_xml.Sax.Parse_error}) then
     {!match_document}. *)
 
-val match_scan : t -> string -> int list
-(** Like {!match_string}, but never materializes the document tree: paths
-    are extracted from the SAX event stream one at a time and matched as
-    their leaves close — the pipeline the paper describes. Each path is
-    snapshotted into a fresh publication. Equivalent results to
-    {!match_string}. *)
-
 val match_stream : t -> string -> int list
-(** The fully streaming match path: like {!match_scan} but the per-path
-    publication is not allocated either — the engine-owned
-    {!Publication.arena} is refilled in place from the step stack at each
-    leaf's end-tag event, so matching a document allocates neither a tree
-    nor per-path tuples once the arenas are warm. Records a
+(** The fully streaming match path: like {!match_string}, but never
+    materializes the document tree — paths are extracted from the SAX
+    event stream one at a time and matched as their leaves close, the
+    pipeline the paper describes. The engine-owned {!Publication.arena}
+    is refilled in place from the step stack at each leaf's end-tag
+    event, so matching a document allocates neither a tree nor per-path
+    tuples once the arenas are warm. Records a
     ["stream-match"] trace span covering the fused parse+extract+match
     drive and bumps the ["stream_documents"] counter. Equivalent results
     to {!match_string} (the streaming [#text] caveat of
@@ -219,13 +173,14 @@ val occurrence_runs : t -> int
     its counters, histograms and per-stage span timers:
 
     - counters ["paths"], ["documents"], ["stream_documents"],
-      ["dedup_path_hits"],
-      ["path_cache_hits"], ["path_cache_misses"], ["path_cache_evictions"],
-      ["path_cache_invalidations"], ["predicate_probes"],
-      ["predicate_hits"], ["occurrence_runs"], ["backtrack_steps"],
-      ["prefix_cover_skips"], ["access_skips"];
+      ["predicate_probes"], ["predicate_hits"], ["occurrence_runs"],
+      ["backtrack_steps"], ["prefix_cover_skips"], ["access_skips"],
+      ["trie_visits"], ["expr_walks"];
+    - gauges ["distinct_predicates"] and
+      ["predicate_residual_constrained"];
     - histogram ["chain_length"] (predicate chain length per occurrence
-      determination run);
+      determination run) and quantile histogram ["doc_latency_ns"]
+      (per-document match latency);
     - spans ["predicate_stage_ns"], ["expr_stage_ns"],
       ["collect_stage_ns"] (populated only with [collect_stats:true]).
 

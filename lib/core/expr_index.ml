@@ -1,16 +1,14 @@
-type variant = Basic | Prefix_covering | Access_predicate | Shared
+type variant = Basic | Prefix_covering | Access_predicate
 
 let variant_name = function
   | Basic -> "basic"
   | Prefix_covering -> "basic-pc"
   | Access_predicate -> "basic-pc-ap"
-  | Shared -> "shared"
 
 let variant_of_name = function
   | "basic" -> Some Basic
   | "basic-pc" | "pc" -> Some Prefix_covering
   | "basic-pc-ap" | "pc-ap" | "ap" -> Some Access_predicate
-  | "shared" -> Some Shared
   | _ -> None
 
 (* Evaluation counters, typically registered in the owning engine's
@@ -79,9 +77,11 @@ type t = {
   mutable kid : int array array;  (* node ids aligned with [kid_pid] *)
   mutable root_of : int array;  (* pid -> root node, -1 if none *)
   mutable n_roots : int;
-  (* prefix covering: sid-bearing nodes bucketed by depth, evaluated
-     longest-first so a deep match covers its prefixes *)
+  (* prefix covering: every node that ever held a sid, bucketed by depth
+     (once: [bucketed]), evaluated longest-first so a deep match covers
+     its prefixes *)
   by_depth : int Vec.t Vec.t;
+  mutable bucketed : bool array;
   (* candidate-set scratch reused across documents (Occurrence arena);
      one per index — engine instances are single-domain *)
   arena : Occurrence.arena;
@@ -131,6 +131,7 @@ let create ?metrics variant =
     root_of = [||];
     n_roots = 0;
     by_depth = Vec.create ~dummy:dummy_bucket ();
+    bucketed = [||];
     arena = Occurrence.create_arena ();
     pc_epoch = 0;
     n_exprs = 0;
@@ -159,6 +160,7 @@ let new_node t ~pid ~parent ~depth =
     t.sids <- grow t.sids cap [];
     t.mark <- grow t.mark cap never;
     t.covered <- grow t.covered cap 0;
+    t.bucketed <- grow t.bucketed cap false;
     t.nkids <- grow t.nkids cap 0;
     t.kid_pid <- grow t.kid_pid cap [||];
     t.kid <- grow t.kid cap [||]
@@ -231,7 +233,7 @@ let add t ~sid ~pids =
   | Basic ->
     t.n_nodes <- t.n_nodes + 1;
     Hashtbl.replace t.flat_pos sid (Vec.push t.flat (sid, pids))
-  | Prefix_covering | Access_predicate | Shared ->
+  | Prefix_covering | Access_predicate ->
     let top = Array.fold_left max 0 pids in
     if top >= Array.length t.pmask then
       t.pmask <- grow t.pmask (max (top + 1) (2 * Array.length t.pmask)) 0;
@@ -240,8 +242,10 @@ let add t ~sid ~pids =
       n := add_kid t !n pids.(i)
     done;
     let n = !n in
-    if t.sids.(n) = [] then begin
-      (* index sid-bearing nodes by depth for longest-first evaluation *)
+    if not t.bucketed.(n) then begin
+      (* index sid-bearing nodes by depth for longest-first evaluation; a
+         node whose sids were all removed stays in its bucket *)
+      t.bucketed.(n) <- true;
       let d = t.depth.(n) in
       Vec.ensure t.by_depth (d + 1);
       let bucket = Vec.get t.by_depth d in
@@ -262,6 +266,10 @@ let add t ~sid ~pids =
 
 let expression_count t = t.n_exprs
 let node_count t = t.n_nodes
+
+let bucket_sizes t =
+  Array.init (Vec.length t.by_depth) (fun d -> Vec.length (Vec.get t.by_depth d))
+
 let occurrence_runs t = Pf_obs.Counter.get t.m.runs
 
 let remove t ~sid ~pids =
@@ -274,7 +282,7 @@ let remove t ~sid ~pids =
       Vec.set t.flat i (sid, [||]);
       t.n_exprs <- t.n_exprs - 1;
       true)
-  | Prefix_covering | Access_predicate | Shared ->
+  | Prefix_covering | Access_predicate ->
     let n = if Array.length pids = 0 then -1 else find_path t pids in
     if n >= 0 && List.mem sid t.sids.(n) then begin
       t.sids.(n) <- List.filter (fun s -> s <> sid) t.sids.(n);
@@ -508,61 +516,8 @@ let eval_ap t res ~doc_tag ~on_match =
   t.e_skips <- t.e_skips + t.n_roots - !live_roots;
   flush t ~steps0
 
-(* Shared: propagate the set of reachable chain endings down the trie,
-   one pass per path of the chunk. A node is reachable with endings S iff
-   a chain exists through the pids on the root path ending with some o2
-   in S; its expressions match iff S is non-empty. Sets are tiny (bounded
-   by occurrence counts in one path), so sorted int lists suffice. *)
-let shared_pass t res j ~doc_tag ~on_match =
-  let rec visit n incoming =
-    match Predicate_index.get_packed_on res t.pid.(n) j with
-    | [] ->
-      (* same pruning rule as the access-predicate variant *)
-      t.e_skips <- t.e_skips + 1
-    | pairs ->
-      t.e_visits <- t.e_visits + 1;
-      let reach =
-        match incoming with
-        | None ->
-          List.sort_uniq compare (List.map Predicate_index.packed_second pairs)
-        | Some s ->
-          List.sort_uniq compare
-            (List.filter_map
-               (fun p ->
-                 if List.mem (Predicate_index.packed_first p) s then
-                   Some (Predicate_index.packed_second p)
-                 else None)
-               pairs)
-      in
-      if reach <> [] then begin
-        if t.sids.(n) <> [] && t.mark.(n) <> doc_tag then report t n ~doc_tag ~on_match;
-        let kd = t.kid.(n) in
-        for i = 0 to t.nkids.(n) - 1 do
-          visit kd.(i) (Some reach)
-        done
-      end
-  in
-  let live_roots = ref 0 in
-  for i = 0 to Predicate_index.chunk_matched_count res - 1 do
-    let p = Predicate_index.chunk_matched_pid res i in
-    let r = root_node t p in
-    if r >= 0 && Predicate_index.matched_on res p j then begin
-      incr live_roots;
-      visit r None
-    end
-  done;
-  t.e_skips <- t.e_skips + t.n_roots - !live_roots
-
-let eval_shared t res ~doc_tag ~on_match =
-  for j = 0 to Predicate_index.chunk_paths res - 1 do
-    shared_pass t res j ~doc_tag ~on_match
-  done;
-  (* no backtracking runs here: the step delta is 0 *)
-  flush t ~steps0:(Occurrence.search_steps t.arena)
-
 let eval t res ~doc_tag ~on_match =
   match t.variant with
   | Basic -> eval_basic t res ~on_match
   | Prefix_covering -> eval_pc t res ~doc_tag ~on_match
   | Access_predicate -> eval_ap t res ~doc_tag ~on_match
-  | Shared -> eval_shared t res ~doc_tag ~on_match

@@ -2,8 +2,8 @@
 
     Expressions are registered as ordered pid sequences; after the predicate
     matching stage, {!eval} reports every structurally matched expression.
-    Four organizations trade off how many occurrence determination runs they
-    need:
+    Three organizations trade off how many occurrence determination runs
+    they need:
 
     - {!Basic}: a flat list; every expression whose predicates all matched
       gets its own occurrence determination run.
@@ -14,11 +14,6 @@
       is skipped entirely when its entry predicate (the {e access
       predicate}; at the root this is the paper's first-predicate
       clustering) has no matching result.
-    - {!Shared}: our ablation extension — instead of per-expression
-      backtracking runs, sets of reachable chain endings (occurrence
-      numbers) are propagated down the trie once, so the work of the
-      occurrence determination itself is shared across expressions with
-      common prefixes.
 
     The trie variants store one flat trie that grows in place: a node id
     indexes int arrays (pid, parent, depth, report and cover marks), and
@@ -35,11 +30,11 @@
     path in its mask, lowest first, until one run matches. The other
     variants evaluate the chunk path by path. *)
 
-type variant = Basic | Prefix_covering | Access_predicate | Shared
+type variant = Basic | Prefix_covering | Access_predicate
 
 val variant_name : variant -> string
-(** ["basic"], ["basic-pc"], ["basic-pc-ap"], ["shared"] — the paper's
-    algorithm labels. *)
+(** ["basic"], ["basic-pc"], ["basic-pc-ap"] — the paper's algorithm
+    labels. *)
 
 val variant_of_name : string -> variant option
 
@@ -93,7 +88,7 @@ val eval :
     chunks of one document, walked under one tag, report each sid once
     per document. This is only sound when [on_match] accepts
     unconditionally; a caller that filters reports per path (postponed
-    attribute checks, per-path result caching) passes a fresh tag for
+    attribute checks) passes a fresh tag for
     each one-path chunk. {!add} may run between any two calls: it clears
     the mark of the new sid's node, so the sid is reported when it
     matches even under a tag its node was already reported under (the
@@ -105,9 +100,13 @@ val node_count : t -> int
 (** Trie nodes (= stored expressions for {!Basic}); an indicator of the
     sharing achieved. *)
 
+val bucket_sizes : t -> int array
+(** Entries of {!Prefix_covering}'s depth buckets, indexed by depth: every
+    trie node that ever held a sid, once ([[||]] for {!Basic}). *)
+
 val occurrence_runs : t -> int
 (** Cumulative number of occurrence determination runs performed by
     {!eval} since creation — the quantity the Section 4.2.2 optimizations
-    minimize (0 for {!Shared}). Reads the ["occurrence_runs"] counter of
+    minimize. Reads the ["occurrence_runs"] counter of
     the metrics record, so it always agrees with the exported value and
     is zeroed by a registry reset. *)

@@ -127,9 +127,9 @@ end
 
 val filter : Pf_intf.filter -> Pf_intf.filter
 (** [filter f] — {!Make} applied to a first-class filter: logical sids
-    out, deduplicated physical registration in. Composes with the path
-    cache, both [Pf_service] shard modes and the broker, since
-    it is itself a [FILTER]. *)
+    out, deduplicated physical registration in. Composes with streaming
+    ingest, both [Pf_service] shard modes and the broker, since it is
+    itself a [FILTER]. *)
 
 (** {1 Workload diagnostics} *)
 

@@ -20,7 +20,8 @@ type config = {
   max_exprs : int;  (** expressions per case, drawn in [1..max_exprs] *)
   max_docs : int;  (** documents per case, drawn in [1..max_docs] *)
   all_variants : bool;  (** extended engine roster (adds engine-pc,
-                            engine-shared-dedup, engine-stream) *)
+                            engine-stream, the service and subsumption
+                            entries — see {!Engines.extended_roster}) *)
   save_dir : string option;  (** write shrunk divergence cases here *)
 }
 

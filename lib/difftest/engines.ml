@@ -55,12 +55,10 @@ let oracle =
     finalize = ignore;
   }
 
-let predicate_engine ~ename ?variant ?attr_mode ?dedup_paths ?path_cache ?stream () =
+let predicate_engine ~ename ?variant ?attr_mode ?stream () =
   {
     ename;
-    filter =
-      (Pf_core.Engine.filter ?variant ?attr_mode ?dedup_paths ?path_cache ?stream ()
-        :> Pf_intf.filter);
+    filter = (Pf_core.Engine.filter ?variant ?attr_mode ?stream () :> Pf_intf.filter);
     supports = engine_subset;
     finalize = ignore;
   }
@@ -69,10 +67,10 @@ let predicate_engine ~ename ?variant ?attr_mode ?dedup_paths ?path_cache ?stream
    re-subscribes a deterministic subset of the live expressions. External
    sids stay stable — the wrapper translates through a mapping, exactly
    like the service's global/local sid tables — so the runner's
-   bookkeeping is untouched while the inner engine's subscription epoch
-   (and with it any path-result cache) is churned between documents. A
-   cache that survives an epoch bump, or an entry not recomputed after a
-   re-add under a fresh internal sid, shows up as a divergence. *)
+   bookkeeping is untouched while the inner engine's subscriptions are
+   churned between documents. State that survives a remove, or a re-add
+   under a fresh internal sid that is not matched like the original,
+   shows up as a divergence. *)
 let churned (filter : Pf_intf.filter) : Pf_intf.filter =
   let (module F) = filter in
   (module struct
@@ -161,17 +159,6 @@ let subsumed_engine ~ename ?variant ?attr_mode ?stream () =
     finalize = ignore;
   }
 
-let cached_engine ~ename ?variant ?attr_mode ?stream () =
-  {
-    ename;
-    filter =
-      churned
-        (Pf_core.Engine.filter ?variant ?attr_mode ~path_cache:true ?stream ()
-          :> Pf_intf.filter);
-    supports = engine_subset;
-    finalize = ignore;
-  }
-
 let yfilter_engine =
   {
     ename = "yfilter";
@@ -218,7 +205,7 @@ let service_engine ~ename ~mode ~domains ?(stream = Pf_core.Engine.Tree)
       let r =
         match stream with
         | Pf_core.Engine.Tree -> Pf_service.filter_batch t [ doc ]
-        | Scan | Stream ->
+        | Stream ->
           Pf_service.filter_batch_raw t [ Pf_xml.Print.to_string ~decl:false doc ]
       in
       match r with [ r ] -> r | _ -> assert false
@@ -253,24 +240,10 @@ let extended_roster () =
   default_roster ()
   @ [
       predicate_engine ~ename:"engine-pc" ~variant:Pf_core.Expr_index.Prefix_covering ();
-      predicate_engine ~ename:"engine-shared-dedup" ~variant:Pf_core.Expr_index.Shared
-        ~dedup_paths:true ();
-      (* the two tree-free ingest modes against the tree-mode oracle:
-         snapshot-per-path and fully streaming (arena publications refilled
-         from the step stack) — the streaming-vs-tree differential wall *)
-      predicate_engine ~ename:"engine-scan" ~stream:Pf_core.Engine.Scan ();
+      (* fully streaming ingest (arena publications refilled from the
+         step stack) against the tree-mode oracle — the streaming-vs-tree
+         differential wall *)
       predicate_engine ~ename:"engine-stream" ~stream:Pf_core.Engine.Stream ();
-      (* the cross-document path-result cache under subscription churn:
-         inline (symbol-keyed entries) and selection-postponed with
-         attribute-sensitive keys; every document is preceded by a
-         deterministic unsubscribe/resubscribe wave, so stale cache
-         entries surviving an epoch bump diverge from the oracle *)
-      cached_engine ~ename:"engine-cached" ();
-      cached_engine ~ename:"engine-cached-sp" ~variant:Pf_core.Expr_index.Basic
-        ~attr_mode:Pf_core.Engine.Postponed ();
-      (* streaming composed with the churned path cache: arena publications
-         must produce byte-identical cache keys to tree-extracted paths *)
-      cached_engine ~ename:"engine-stream-cached" ~stream:Pf_core.Engine.Stream ();
       (* the service layer against the same oracle: document-replicated and
          expression-sharded, at a domain count that makes sharding
          non-trivial (3 shards interleave sids 0,3,6.. / 1,4,.. / 2,5,..) *)

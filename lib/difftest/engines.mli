@@ -39,8 +39,6 @@ val predicate_engine :
   ename:string ->
   ?variant:Pf_core.Expr_index.variant ->
   ?attr_mode:Pf_core.Engine.attr_mode ->
-  ?dedup_paths:bool ->
-  ?path_cache:bool ->
   ?stream:Pf_core.Engine.ingest ->
   unit ->
   engine
@@ -50,18 +48,8 @@ val churned : Pf_intf.filter -> Pf_intf.filter
 (** Wrap a filter so every [match_document] first unsubscribes and
     re-subscribes a deterministic third of the live expressions (a
     different third each document), translating sids so the wrapper's
-    external sids stay stable. Exercises subscription-epoch invalidation
-    — a path-result cache serving stale entries across the churn shows up
-    as an oracle divergence. *)
-
-val cached_engine :
-  ename:string ->
-  ?variant:Pf_core.Expr_index.variant ->
-  ?attr_mode:Pf_core.Engine.attr_mode ->
-  ?stream:Pf_core.Engine.ingest ->
-  unit ->
-  engine
-(** The predicate engine with [path_cache:true], behind {!churned}. *)
+    external sids stay stable. Engine state that outlives a remove/re-add
+    wave shows up as an oracle divergence. *)
 
 val subsumed_engine :
   ename:string ->
@@ -106,16 +94,9 @@ val default_roster : unit -> engine list
 
 val extended_roster : unit -> engine list
 (** {!default_roster} plus ["engine-pc"] (prefix covering),
-    ["engine-shared-dedup"] (the shared-trie ablation with path
-    deduplication), ["engine-scan"] / ["engine-stream"] (the two
-    tree-free SAX ingest modes — snapshot-per-path and fully streaming
-    arena publications — matching the serialized document against the
-    tree-mode oracle), ["engine-cached"] / ["engine-cached-sp"] (the
-    cross-document path-result cache, inline and selection-postponed,
-    under per-document subscription churn — see {!churned}),
-    ["engine-stream-cached"] (the churned cache over the fully streaming
-    engine — arena publications must key the cache byte-identically to
-    tree paths), ["service-doc"] (the document-replicated service at 2
+    ["engine-stream"] (the fully streaming SAX ingest — arena
+    publications refilled in place — matching the serialized document
+    against the tree-mode oracle), ["service-doc"] (the document-replicated service at 2
     domains), ["service-expr"] (the expression-sharded service at 3
     domains) and ["service-stream"] / ["service-stream-expr"] (streaming
     replicas fed raw document text through [filter_batch_raw], in both

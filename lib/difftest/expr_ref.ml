@@ -8,24 +8,25 @@
    occurrence runs, backtracking steps, prefix-cover skips and access
    skips; and per document, the same sid set as the flat trie's walk over
    chunks of the document's paths. The only changes from the historical
-   code are the [open] below and the variant type, which re-exports the
-   flat index's so one value selects both. *)
+   code are the [open] below, the variant type, which re-exports the
+   flat index's so one value selects both, the deletion of the
+   shared-trie variant, and [bucketed], which puts a node in its depth
+   bucket once however often its sids are removed and re-added, as the
+   flat trie does. *)
 
 open Pf_core
 
-type variant = Expr_index.variant = Basic | Prefix_covering | Access_predicate | Shared
+type variant = Expr_index.variant = Basic | Prefix_covering | Access_predicate
 
 let variant_name = function
   | Basic -> "basic"
   | Prefix_covering -> "basic-pc"
   | Access_predicate -> "basic-pc-ap"
-  | Shared -> "shared"
 
 let variant_of_name = function
   | "basic" -> Some Basic
   | "basic-pc" | "pc" -> Some Prefix_covering
   | "basic-pc-ap" | "pc-ap" | "ap" -> Some Access_predicate
-  | "shared" -> Some Shared
   | _ -> None
 
 (* Trie nodes keep children in an association list and promote to a
@@ -44,6 +45,7 @@ type node = {
          node visit, i.e. per document path. Nodes are never removed, so
          the list only grows alongside [children]. *)
   mutable covered_epoch : int;  (* prefix-covering mark, per eval pass *)
+  mutable bucketed : bool;  (* in its [by_depth] bucket *)
   mutable mark_epoch : int;
       (* document tag of the last sticky sid report: a document has many
          paths, and once a node's sids are reported for one path they need
@@ -74,11 +76,6 @@ let child_add n pid child =
     end
     else n.children <- Small ((pid, child) :: l)
   | Big tbl -> Hashtbl.add tbl pid child
-
-let child_iter f = function
-  | Small l -> List.iter (fun (_, c) -> f c) l
-  | Big tbl -> Hashtbl.iter (fun _ c -> f c) tbl
-
 
 (* Evaluation counters, typically registered in the owning engine's
    registry. [runs] is the quantity the Section 4.2.2 optimizations
@@ -138,7 +135,7 @@ type t = {
 
 let dummy_node =
   { pid = -1; depth = 0; parent = None; sids = []; children = Small []; child_list = [];
-    covered_epoch = 0; mark_epoch = 0 }
+    covered_epoch = 0; bucketed = false; mark_epoch = 0 }
 
 (* Shared placeholder filling unused [by_depth] slots (Vec.ensure fills with
    one dummy value); recognized by physical identity and replaced by a fresh
@@ -167,10 +164,11 @@ let add t ~sid ~pids =
   | Basic ->
     t.n_nodes <- t.n_nodes + 1;
     Hashtbl.replace t.flat_pos sid (Vec.push t.flat (sid, pids))
-  | Prefix_covering | Access_predicate | Shared ->
+  | Prefix_covering | Access_predicate ->
     let register node =
       (* index sid-bearing nodes by depth for longest-first evaluation *)
-      if node.sids = [] then begin
+      if not node.bucketed then begin
+        node.bucketed <- true;
         Vec.ensure t.by_depth (node.depth + 1);
         let bucket = Vec.get t.by_depth node.depth in
         let bucket =
@@ -191,7 +189,7 @@ let add t ~sid ~pids =
       | None ->
         let node =
           { pid = pids.(0); depth = 0; parent = None; sids = []; children = Small [];
-            child_list = []; covered_epoch = 0; mark_epoch = 0 }
+            child_list = []; covered_epoch = 0; bucketed = false; mark_epoch = 0 }
         in
         t.n_nodes <- t.n_nodes + 1;
         Hashtbl.add t.roots pids.(0) node;
@@ -207,7 +205,8 @@ let add t ~sid ~pids =
           | None ->
             let c =
               { pid = pids.(i); depth = i; parent = Some node; sids = [];
-                children = Small []; child_list = []; covered_epoch = 0; mark_epoch = 0 }
+                children = Small []; child_list = []; covered_epoch = 0; bucketed = false;
+                mark_epoch = 0 }
             in
             t.n_nodes <- t.n_nodes + 1;
             child_add node pids.(i) c;
@@ -232,7 +231,7 @@ let remove t ~sid ~pids =
       Vec.set t.flat i (sid, [||]);
       t.n_exprs <- t.n_exprs - 1;
       true)
-  | Prefix_covering | Access_predicate | Shared -> (
+  | Prefix_covering | Access_predicate -> (
     let rec descend node i =
       if i >= Array.length pids then
         if List.mem sid node.sids then begin
@@ -418,45 +417,8 @@ let eval_ap t res ~sticky ~doc_tag ~on_match =
   ap_roots t res ~sticky ~doc_tag ~on_match t.root_list;
   Pf_obs.Counter.add t.m.steps (Occurrence.search_steps t.arena - s0)
 
-(* Shared: propagate the set of reachable chain endings down the trie. A
-   node is reachable with endings S iff a chain exists through the pids on
-   the root path ending with some o2 in S; its expressions match iff S is
-   non-empty. Sets are tiny (bounded by occurrence counts in one path), so
-   sorted int lists suffice. *)
-let eval_shared t res roots ~sticky ~doc_tag ~on_match =
-  let report node =
-    if sticky then node.mark_epoch <- doc_tag;
-    List.iter on_match node.sids
-  in
-  let rec visit node incoming =
-    match Predicate_index.get_packed res node.pid with
-    | [] ->
-      (* same pruning rule as the access-predicate variant *)
-      Pf_obs.Counter.incr t.m.access_skips
-    | pairs ->
-      let reach =
-        match incoming with
-        | None ->
-          List.sort_uniq compare (List.map Predicate_index.packed_second pairs)
-        | Some s ->
-          List.sort_uniq compare
-            (List.filter_map
-               (fun p ->
-                 if List.mem (Predicate_index.packed_first p) s then
-                   Some (Predicate_index.packed_second p)
-                 else None)
-               pairs)
-      in
-      if reach <> [] then begin
-        if node.sids <> [] && not (sticky && node.mark_epoch = doc_tag) then report node;
-        child_iter (fun c -> visit c (Some reach)) node.children
-      end
-  in
-  Hashtbl.iter (fun _ root -> visit root None) roots
-
 let eval t res ~sticky ~doc_tag ~on_match =
   match t.variant with
   | Basic -> eval_basic t res ~on_match
   | Prefix_covering -> eval_pc t res ~sticky ~doc_tag ~on_match
   | Access_predicate -> eval_ap t res ~sticky ~doc_tag ~on_match
-  | Shared -> eval_shared t res t.roots ~sticky ~doc_tag ~on_match

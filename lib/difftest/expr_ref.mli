@@ -1,21 +1,22 @@
 (** The node-record expression index — a test-only reference.
 
     This is {!Pf_core.Expr_index} as it stood before the flat-trie
-    rewrite, kept verbatim so equivalence properties can check the
-    struct-of-arrays trie against it under random add/remove sequences
-    and publications. Not exported outside the test universe; never use
+    rewrite, kept so equivalence properties can check the struct-of-arrays
+    trie against it under random add/remove sequences and publications.
+    It departs from the historical code in two ways: the shared-trie
+    variant is gone, and a node enters its depth bucket once however
+    often its sids are removed and re-added. Not exported outside the test universe; never use
     it on a hot path. *)
 
 type variant = Pf_core.Expr_index.variant =
   | Basic
   | Prefix_covering
   | Access_predicate
-  | Shared
 (** The same variants as the flat index, so one value selects both. *)
 
 val variant_name : variant -> string
-(** ["basic"], ["basic-pc"], ["basic-pc-ap"], ["shared"] — the paper's
-    algorithm labels. *)
+(** ["basic"], ["basic-pc"], ["basic-pc-ap"] — the paper's algorithm
+    labels. *)
 
 val variant_of_name : string -> variant option
 
@@ -77,6 +78,6 @@ val node_count : t -> int
 val occurrence_runs : t -> int
 (** Cumulative number of occurrence determination runs performed by
     {!eval} since creation — the quantity the Section 4.2.2 optimizations
-    minimize (0 for {!Shared}). Reads the ["occurrence_runs"] counter of
+    minimize. Reads the ["occurrence_runs"] counter of
     the metrics record, so it always agrees with the exported value and
     is zeroed by a registry reset. *)

@@ -66,15 +66,12 @@
     worker merges (the merge reads the full per-shard array, so the
     result is independent of finish order).
 
-    Engine-internal state composes for free under this design. In
-    particular a path-result cache ({!Pf_core.Engine.create}
-    [~path_cache:true]) needs no service-side wiring: each replica's
-    engine owns a private cache ([Doc] replicas warm theirs on their
-    share of the stream, [Expr] shards cache shard-local sid sets the
-    merge combines like any other results), and because subscription
-    changes reach a replica through the epoch-ordered log, each engine
-    bumps its own cache epoch at exactly the log position the sequential
-    engine would — sequential equivalence is preserved verbatim. *)
+    Engine-internal state composes for free under this design: each
+    replica's engine owns its scratch (predicate results, publication
+    arenas, report marks) privately, and because subscription changes
+    reach a replica through the epoch-ordered log, each engine applies
+    them at exactly the log position the sequential engine would —
+    sequential equivalence is preserved verbatim. *)
 
 type t
 

@@ -99,8 +99,7 @@ let test_composed_filter () =
      through the filter builder, including ones the record never had *)
   let b =
     Broker.create
-      ~filter:(Pf_core.Engine.filter ~stream:Pf_core.Engine.Stream ~path_cache:true ()
-                 :> Pf_intf.filter)
+      ~filter:(Pf_core.Engine.filter ~stream:Pf_core.Engine.Stream () :> Pf_intf.filter)
       ()
   in
   let _ = Broker.subscribe_exn b ~subscriber:"alice" "/a/b/c" in

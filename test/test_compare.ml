@@ -4,8 +4,9 @@
 module J = Pf_obs.Json
 module C = Pf_bench.Bench_compare
 
-(* A miniature results document in the predfilter-bench/1 schema; the
-   interesting leaves mirror what bench/main.exe records. *)
+(* A miniature results document in the predfilter-bench/1 schema: one
+   experiment whose leaves carry each kind of key bench/main.exe records
+   (timings, a ratio, GC words, an identity check). *)
 let doc ?(cores = 1) ?(p99 = 300_000) ?(ms = 10.) ?(docs_per_s = 8_000.)
     ?(hit_ratio = 0.95) ?(identical = true) ?(minor_words = 1e6) () =
   J.Obj
@@ -16,7 +17,7 @@ let doc ?(cores = 1) ?(p99 = 300_000) ?(ms = 10.) ?(docs_per_s = 8_000.)
       ( "experiments",
         J.Obj
           [
-            ( "path-cache",
+            ( "fixture",
               J.Obj
                 [
                   "hardware_cores", J.Int cores;
@@ -24,7 +25,7 @@ let doc ?(cores = 1) ?(p99 = 300_000) ?(ms = 10.) ?(docs_per_s = 8_000.)
                   ( "nitf",
                     J.Obj
                       [
-                        ( "cached",
+                        ( "engine",
                           J.Obj
                             [
                               "ms", J.Float ms;

@@ -112,26 +112,24 @@ let corpus =
   ]
 
 let engines_for (expr : Pf_xpath.Ast.path) =
-  let mk variant attr_mode dedup =
+  let mk variant attr_mode =
     let name =
-      Printf.sprintf "%s%s%s"
+      Printf.sprintf "%s%s"
         (Pf_core.Expr_index.variant_name variant)
         (match attr_mode with Pf_core.Engine.Inline -> "" | Pf_core.Engine.Postponed -> "+sp")
-        (if dedup then "+dedup" else "")
     in
     ( name,
       fun () ->
-        let e = Pf_core.Engine.create ~variant ~attr_mode ~dedup_paths:dedup () in
+        let e = Pf_core.Engine.create ~variant ~attr_mode () in
         let sid = Pf_core.Engine.add e expr in
         fun doc -> List.mem sid (Pf_core.Engine.match_document e doc) )
   in
   let ours =
     [
-      mk Pf_core.Expr_index.Basic Pf_core.Engine.Inline false;
-      mk Pf_core.Expr_index.Prefix_covering Pf_core.Engine.Inline false;
-      mk Pf_core.Expr_index.Access_predicate Pf_core.Engine.Inline false;
-      mk Pf_core.Expr_index.Access_predicate Pf_core.Engine.Postponed false;
-      mk Pf_core.Expr_index.Shared Pf_core.Engine.Inline true;
+      mk Pf_core.Expr_index.Basic Pf_core.Engine.Inline;
+      mk Pf_core.Expr_index.Prefix_covering Pf_core.Engine.Inline;
+      mk Pf_core.Expr_index.Access_predicate Pf_core.Engine.Inline;
+      mk Pf_core.Expr_index.Access_predicate Pf_core.Engine.Postponed;
     ]
   in
   if Pf_xpath.Ast.is_single_path expr then

@@ -4,7 +4,7 @@
 
 open Pf_core
 
-let variants = Expr_index.[ Basic; Prefix_covering; Access_predicate; Shared ]
+let variants = Expr_index.[ Basic; Prefix_covering; Access_predicate ]
 let modes = Engine.[ Inline; Postponed ]
 
 let all_configs =
@@ -185,21 +185,6 @@ let test_match_stream () =
   Alcotest.(check (list int)) "agrees with tree path" (Engine.match_string e src)
     (Engine.match_stream e src)
 
-let prop_dedup_agrees =
-  QCheck2.Test.make ~name:"dedup_paths on = off" ~count:300
-    ~print:(fun (paths, d) ->
-      String.concat " ; " (List.map Gen_helpers.path_print paths)
-      ^ " on " ^ Gen_helpers.doc_print d)
-    QCheck2.Gen.(
-      pair (list_size (int_range 1 8) Gen_helpers.single_path_gen) Gen_helpers.doc_gen)
-    (fun (paths, d) ->
-      let run dedup_paths =
-        let e = Engine.create ~dedup_paths () in
-        List.iter (fun p -> ignore (Engine.add e p)) paths;
-        Engine.match_document e d
-      in
-      run true = run false)
-
 let prop_stream_equals_tree =
   QCheck2.Test.make ~name:"match_stream = match_string" ~count:300
     ~print:(fun (paths, d) ->
@@ -335,6 +320,5 @@ let () =
             prop_oracle_attr_filters;
             prop_inline_postponed_agree;
             prop_stream_equals_tree;
-            prop_dedup_agrees;
           ] );
     ]

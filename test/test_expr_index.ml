@@ -1,11 +1,11 @@
-(* Tests for the expression organizations (Section 4.2.2): the four
+(* Tests for the expression organizations (Section 4.2.2): the three
    variants must report identical match sets, while differing in how many
    occurrence determination runs they need. *)
 
 open Pf_core
 
 let variants =
-  Expr_index.[ Basic; Prefix_covering; Access_predicate; Shared ]
+  Expr_index.[ Basic; Prefix_covering; Access_predicate ]
 
 (* Build one index per variant over the same expressions and evaluate
    against the same publication; returns (variant, sorted sids, runs). *)
@@ -42,8 +42,7 @@ let test_covering_reduces_runs () =
   let runs v = match List.find (fun (v', _, _) -> v' = v) results with _, _, r -> r in
   Alcotest.(check int) "basic runs both" 2 (runs Expr_index.Basic);
   Alcotest.(check int) "pc runs the longest only" 1 (runs Expr_index.Prefix_covering);
-  Alcotest.(check int) "pc-ap runs the longest only" 1 (runs Expr_index.Access_predicate);
-  Alcotest.(check int) "shared needs no runs" 0 (runs Expr_index.Shared)
+  Alcotest.(check int) "pc-ap runs the longest only" 1 (runs Expr_index.Access_predicate)
 
 let test_access_predicate_prunes () =
   (* no x in the path: the whole /x/... cluster is skipped without any
@@ -90,7 +89,7 @@ let test_empty_pids_rejected () =
   | () -> Alcotest.fail "empty pid sequence should be rejected"
 
 (* property: on random single-path workloads and random linear paths, all
-   four variants produce the same match set, and it equals the per-
+   three variants produce the same match set, and it equals the per-
    expression ground truth *)
 let prop_variants_agree =
   let open QCheck2 in
@@ -138,11 +137,7 @@ let prop_variants_agree =
    walk, the reference under [~sticky:true] and the same tags: a fresh
    tag per path, or one per document. The flat trie must agree exactly
    either way: the same sids on every path and the same occurrence runs,
-   backtracking steps, prefix-cover skips and access skips. (The flat
-   trie always marks its reports, so the reference's unmarked
-   [~sticky:false] mode is no counterpart: it evaluates a node that sits
-   twice in a depth bucket, after losing its last sid and gaining a new
-   one, twice.) *)
+   backtracking steps, prefix-cover skips and access skips. *)
 
 module Eref = Pf_difftest.Expr_ref
 
@@ -168,7 +163,7 @@ let op_print = function
 
 let ops_print ops = String.concat " ; " (List.map op_print ops)
 
-let trie_variants = Expr_index.[ Prefix_covering; Access_predicate; Shared ]
+let trie_variants = Expr_index.[ Prefix_covering; Access_predicate ]
 
 let counts (m : Expr_index.metrics) =
   Pf_obs.Counter.(get m.runs, get m.steps, get m.cover_skips, get m.access_skips)
@@ -409,30 +404,38 @@ let test_sidless_child_does_not_cover () =
   Alcotest.(check (list (list int))) "two-path chunk" [ [] ]
     (chunk_walks e idx res ~doc_tag:1 [ path; path ])
 
-(* The path-result cache computes each path's complete sid set under a
-   tag of its own. A path that shares a done subtree with an earlier path
-   of the same document must still report it, or its cache entry would
-   miss sids on the next document that reaches it alone. *)
-let test_path_cache_tags () =
-  let exprs = [ "//b"; "/a//b"; "/a/c"; "//c/b" ] in
-  let mk path_cache =
-    let e = Engine.create ~path_cache () in
-    List.iter (fun x -> ignore (Engine.add_string e x : int)) exprs;
-    e
+(* A node whose sids were all removed and which then gains a sid again
+   enters its depth bucket once, so prefix covering visits it once per
+   pass: one path per walk under a fresh tag, the flat trie must match
+   the reference without marks ([~sticky:false]) in sids, runs and
+   cover skips. *)
+let test_readded_node_bucketed_once () =
+  let p = Pf_xpath.Parser.parse in
+  let ops =
+    [ Add (p "c"); Add (p "a"); Remove 0; Add (p "a"); Add (p "c"); Add (p "a"); Add (p "a");
+      Doc [ [ "a"; "c" ] ] ]
   in
-  let cached = mk true and plain = mk false in
-  let docs = [ "<a><b/><c><b/></c></a>"; "<a><c><b/></c></a>"; "<a><b/></a>" ] in
-  List.iter
-    (fun d ->
-      Alcotest.(check (list int))
-        d (Engine.match_string plain d) (Engine.match_string cached d))
-    docs;
-  let hits =
-    match Pf_obs.Registry.find_counter (Engine.metrics cached) "path_cache_hits" with
-    | Some n -> n
-    | None -> Alcotest.fail "path_cache_hits not registered"
+  let sizes = ref [||] in
+  let unmarked flat oracle pidx ~doc_tag paths =
+    sizes := Expr_index.bucket_sizes flat;
+    let res = Predicate_index.create_results () in
+    List.for_all Fun.id
+      (List.mapi
+         (fun j tags ->
+           Predicate_index.run pidx res (Publication.of_tags tags);
+           collect (fun on_match ->
+               Expr_index.eval flat res ~doc_tag:(doc_tag + 1 + j) ~on_match)
+           = collect (fun on_match -> Eref.eval oracle res ~sticky:false ~doc_tag:0 ~on_match))
+         paths)
   in
-  Alcotest.(check bool) "later documents answered from the cache" true (hits >= 2)
+  let ok, fm, rm = replay Expr_index.Prefix_covering ops ~doc:unmarked in
+  Alcotest.(check (array int)) "c and a, once each, at depth 0" [| 2 |] !sizes;
+  Alcotest.(check bool) "same sids, each reported once" true ok;
+  let runs_covers (runs, _, covers, _) = runs, covers in
+  Alcotest.(check (pair int int)) "reference: a run each, no cover" (2, 0)
+    (runs_covers (ref_counts rm));
+  Alcotest.(check (pair int int)) "flat = reference" (runs_covers (ref_counts rm))
+    (runs_covers (counts fm))
 
 let () =
   Alcotest.run "expr_index"
@@ -453,7 +456,8 @@ let () =
           Alcotest.test_case "last path of the second chunk" `Quick
             test_last_path_of_second_chunk;
           Alcotest.test_case "cover from a higher path" `Quick test_cover_from_higher_path;
-          Alcotest.test_case "path-cache per-path tags" `Quick test_path_cache_tags;
+          Alcotest.test_case "re-added node bucketed once" `Quick
+            test_readded_node_bucketed_once;
         ] );
       ( "properties",
         List.map Gen_helpers.to_alcotest

@@ -6,7 +6,7 @@
 open Pf_workload
 
 let variants =
-  Pf_core.Expr_index.[ Basic; Prefix_covering; Access_predicate; Shared ]
+  Pf_core.Expr_index.[ Basic; Prefix_covering; Access_predicate ]
 
 let run_workload ~dtd ~doc_params ~query_params ~ndocs =
   let paths = Xpath_gen.generate dtd query_params in

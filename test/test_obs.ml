@@ -577,10 +577,11 @@ let test_cross_engine_invariants () =
       Alcotest.(check bool) "runs bounded" true (runs <= paths * List.length qs))
     [ r_basic; r_ap ]
 
-(* The expression stage walks a chunk of up to [chunk_capacity] paths at
-   once on the default engine: a document of n paths adds ceil(n/C)
-   walks. Postponed attribute checks walk every path alone (n walks), and
-   the path cache walks every path it computes (one per miss). *)
+(* Per document, on the default engine and on the Postponed one:
+   [documents] counts it once, [paths] counts its root-to-leaf paths, and
+   the expression stage walks a chunk of up to [chunk_capacity] paths at
+   once inline (ceil(n/C) walks), but every path alone with postponed
+   attribute checks (n walks). *)
 let test_expr_walks_law () =
   let qs, docs = workload () in
   let c = Pf_core.Predicate_index.chunk_capacity in
@@ -590,30 +591,54 @@ let test_expr_walks_law () =
     List.fold_left
       (fun widest d ->
         let w0 = counter_of r "expr_walks" and p0 = counter_of r "paths" in
-        let m0 = counter_of r "path_cache_misses" in
+        let d0 = counter_of r "documents" in
         ignore (Pf_core.Engine.match_document e d : int list);
-        let n = counter_of r "paths" - p0 and misses = counter_of r "path_cache_misses" - m0 in
+        let n = List.length (Pf_xml.Path.of_document d) in
+        Alcotest.(check int) (name ^ ": one document") 1 (counter_of r "documents" - d0);
+        Alcotest.(check int) (name ^ ": its paths") n (counter_of r "paths" - p0);
         Alcotest.(check int)
           (Printf.sprintf "%s: a document of %d paths" name n)
-          (walks_for ~n ~misses)
+          (walks_for n)
           (counter_of r "expr_walks" - w0);
         max widest n)
       0 docs
   in
-  let widest =
-    check "inline" ~walks_for:(fun ~n ~misses:_ -> (n + c - 1) / c) (Pf_core.Engine.create ())
-  in
+  let widest = check "inline" ~walks_for:(fun n -> (n + c - 1) / c) (Pf_core.Engine.create ()) in
   Alcotest.(check bool) "some document spans chunks" true (widest > c);
   ignore
-    (check "postponed"
-       ~walks_for:(fun ~n ~misses:_ -> n)
+    (check "postponed" ~walks_for:Fun.id
        (Pf_core.Engine.create ~attr_mode:Pf_core.Engine.Postponed ())
-      : int);
-  ignore
-    (check "path cache"
-       ~walks_for:(fun ~n:_ ~misses -> misses)
-       (Pf_core.Engine.create ~path_cache:true ())
       : int)
+
+(* Every counter, gauge, histogram and span an engine registers, from the
+   engine itself and from its predicate and expression indexes. A metric
+   whose subject is deleted must go with it rather than linger as a name
+   that always reads 0. *)
+let test_engine_metric_names () =
+  let names e =
+    List.sort compare
+      (List.map
+         (fun (s : Registry.sample) -> s.Registry.name)
+         (Registry.samples (Pf_core.Engine.metrics e)))
+  in
+  let expected =
+    List.sort compare
+      [
+        (* engine *)
+        "paths"; "documents"; "stream_documents"; "predicate_stage_ns"; "expr_stage_ns";
+        "collect_stage_ns"; "doc_latency_ns"; "distinct_predicates";
+        (* predicate index *)
+        "predicate_probes"; "predicate_hits"; "predicate_residual_constrained";
+        (* expression index *)
+        "occurrence_runs"; "backtrack_steps"; "prefix_cover_skips"; "access_skips";
+        "trie_visits"; "expr_walks"; "chain_length";
+      ]
+  in
+  Alcotest.(check (list string)) "default engine" expected (names (Pf_core.Engine.create ()));
+  Alcotest.(check (list string)) "postponed basic engine" expected
+    (names
+       (Pf_core.Engine.create ~variant:Pf_core.Expr_index.Basic
+          ~attr_mode:Pf_core.Engine.Postponed ()))
 
 let test_baseline_metrics () =
   let qs, docs = workload () in
@@ -687,6 +712,7 @@ let () =
         [
           Alcotest.test_case "cross-engine invariants" `Quick test_cross_engine_invariants;
           Alcotest.test_case "expression walks per document" `Quick test_expr_walks_law;
+          Alcotest.test_case "engine metric names" `Quick test_engine_metric_names;
           Alcotest.test_case "baseline metrics" `Quick test_baseline_metrics;
         ] );
     ]

@@ -112,29 +112,7 @@ let streaming_equals_tree =
           ~matcher:(fun e d -> E.match_stream e (source_of d))
           script
       in
-      let scan =
-        run_engine
-          ~create:(fun () -> E.create ())
-          ~matcher:(fun e d -> E.match_scan e (source_of d))
-          script
-      in
-      if stream <> expected then Test.fail_report "streaming diverged from tree"
-      else if scan <> expected then Test.fail_report "scan diverged from tree"
-      else true)
-
-(* streaming + cross-document path cache: churn invalidates epochs, the
-   arena refills publications — cached results must stay identical *)
-let streaming_cached_equals_tree =
-  Test.make ~count:40 ~name:"stream: path cache on = tree oracle under churn"
-    ~print:ops_print ops_gen (fun script ->
-      let expected = tree_run script in
-      let got =
-        run_engine
-          ~create:(fun () -> E.create ~path_cache:true ())
-          ~matcher:(fun e d -> E.match_stream e (source_of d))
-          script
-      in
-      got = expected)
+      stream = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Service: the raw-payload path hands bytes to the worker domains and the
@@ -262,7 +240,6 @@ let () =
       ( "equivalence",
         [
           qcheck streaming_equals_tree;
-          qcheck streaming_cached_equals_tree;
           qcheck service_streaming_equals_tree;
         ] );
       ( "errors",
